@@ -7,25 +7,29 @@ quotient part,
     pi_*(P) = sum over cosets sigma of S_e/(S_q x S_r) of
               sigma( P / prod_{i<=q<j} (a_i - a_j) ).
 
-We clear denominators once: over the common denominator
-V = prod_{i<j}(a_i - a_j), the coset for a q-subset T contributes
-sign(T) * sigma_T(P) * V_T where V_T keeps exactly the factors with both
-indices on the same side of T, and the total is exactly divisible by V.
+It equals the divided-difference operator d_w of the longest minimal
+coset representative w of S_e/(S_q x S_r) (Lascoux-Schutzenberger; see
+Fulton-Pragacz, Schubert Varieties and Degeneracy Loci, LNM 1689).  With
+r = e - q, a reduced word for w applies
 
-Everything stays in the polynomial ring; there are no rational functions
-anywhere, and a P that is not symmetric in each designated part is
-rejected rather than symmetrized.
+    d_k, d_{k+1}, ..., d_{k+r-1}    for k = q-1 down to 0,
+
+which carries each quotient root, the last one first, past all r
+complementary roots.  Each d_i(P) = (P - s_i P) / (a_i - a_{i+1}) is
+evaluated term by term on packed keys, so the result is exact by
+construction: no rational function and no polynomial division anywhere.
+A P that is not symmetric in each designated part is rejected rather
+than symmetrized.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 from .alphabets import Alphabet
-from .partitions import Partition, staircase
-from .polyring import Poly, Ring, apply_permutation, exact_div, is_symmetric, product
-from .schur import schur_p, schur_q, schur_s
+from .partitions import Partition
+from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric, product
+from .schur import schur_p, schur_q
 
 
 class BlockSymmetryError(ValueError):
@@ -50,50 +54,35 @@ class GrassmannSetup:
             raise ValueError(f"q={self.q} out of range for {len(self.variables)} roots")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("designated roots must be distinct")
+        if not all(0 <= v < self.ring.nvars for v in self.variables):
+            raise ValueError(f"designated roots must lie in 0..{self.ring.nvars - 1}")
 
     @property
     def e(self) -> int:
         return len(self.variables)
 
 
-def _coset_data(setup: GrassmannSetup):
-    """Per-coset (permutation, sign, same-side Vandermonde factor), plus
-    the full Vandermonde; cached on the ring."""
-    cache = getattr(setup.ring, "_gysin_cache", None)
-    if cache is None:
-        cache = setup.ring._gysin_cache = {}
-    key = (setup.variables, setup.q)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    ring = setup.ring
-    vs = setup.variables
-    e, q = setup.e, setup.q
-    gens = [ring.variable(i) for i in vs]
-    vandermonde = product(ring, (gens[i] - gens[j] for i in range(e) for j in range(i + 1, e)))
-    cosets = []
-    for T in combinations(range(e), q):
-        inT = set(T)
-        comp = [i for i in range(e) if i not in inT]
-        # designated position i goes to slot target[i]
-        target = list(T) + comp
-        perm = list(range(ring.nvars))
-        for i, t in enumerate(target):
-            perm[vs[i]] = vs[t]
-        sign = -1 if sum(t - i for i, t in enumerate(T)) % 2 else 1
-        same_side = product(
-            ring,
-            (
-                gens[i] - gens[j]
-                for i in range(e)
-                for j in range(i + 1, e)
-                if (i in inT) == (j in inT)
-            ),
-        )
-        cosets.append((perm, sign, same_side))
-    got = (vandermonde, cosets)
-    cache[key] = got
-    return got
+def _divided_difference(P: Poly, a: int, b: int) -> Poly:
+    """(P - s P) / (x_a - x_b), s swapping the variables a and b: a term
+    m x_a^i x_b^j maps to sign(i - j) (x_a x_b)^min(i,j) h_{|i-j|-1}(x_a, x_b) m,
+    so no exponent grows."""
+    sa, sb = SHIFT * a, SHIFT * b
+    step = (1 << sa) - (1 << sb)
+    out: dict = {}
+    get = out.get
+    for k, c in P.terms.items():
+        i = (k >> sa) & MAX_EXP
+        j = (k >> sb) & MAX_EXP
+        if i == j:
+            continue
+        lo, d = min(i, j), abs(i - j)
+        c = c if i > j else -c
+        # x_a^lo x_b^(lo+d-1) m, then d-1 steps each moving one x_b to x_a
+        k += ((lo - i) << sa) + ((lo + d - 1 - j) << sb)
+        for _ in range(d):
+            out[k] = get(k, 0) + c
+            k += step
+    return P.ring.poly(out)
 
 
 def grassmann_pushforward(P: Poly, setup: GrassmannSetup) -> Poly:
@@ -102,46 +91,26 @@ def grassmann_pushforward(P: Poly, setup: GrassmannSetup) -> Poly:
     ``P`` must be symmetric separately in the quotient part and in the
     complementary part of the designated roots.
     """
-    ring = setup.ring
-    vs = setup.variables
-    if not is_symmetric(P, vs[: setup.q]):
+    vs, q = setup.variables, setup.q
+    if not is_symmetric(P, vs[:q]):
         raise BlockSymmetryError("not symmetric in the quotient roots")
-    if not is_symmetric(P, vs[setup.q :]):
+    if not is_symmetric(P, vs[q:]):
         raise BlockSymmetryError("not symmetric in the complementary roots")
-    vandermonde, cosets = _coset_data(setup)
-    total = ring.zero
-    for perm, sign, same_side in cosets:
-        term = apply_permutation(P, perm) * same_side
-        total = total + (term if sign > 0 else -term)
-    if total.is_zero():
-        return total
-    return exact_div(total, vandermonde)
+    for k in range(q - 1, -1, -1):
+        for j in range(k, k + setup.e - q):
+            P = _divided_difference(P, vs[j], vs[j + 1])
+    return P
 
 
+@dataclass(frozen=True)
 class RepeatedPushforward:
-    """Push-forwards of ``factor * P`` for one fixed factor and many P.
+    """Push-forwards of ``factor * P`` for one fixed factor and many P."""
 
-    Precomputes, for every coset, the signed product of the permuted
-    factor with the same-side Vandermonde part, so each subsequent class
-    costs one small multiplication per coset plus a single division.
-    """
-
-    def __init__(self, setup: GrassmannSetup, factor: Poly):
-        self.setup = setup
-        self.vandermonde, cosets = _coset_data(setup)
-        self.weights = []
-        for perm, sign, same_side in cosets:
-            w = apply_permutation(factor, perm) * same_side
-            self.weights.append((perm, w if sign > 0 else -w))
+    setup: GrassmannSetup
+    factor: Poly
 
     def push(self, P: Poly) -> Poly:
-        ring = self.setup.ring
-        total = ring.zero
-        for perm, w in self.weights:
-            total = total + apply_permutation(P, perm) * w
-        if total.is_zero():
-            return total
-        return exact_div(total, self.vandermonde)
+        return grassmann_pushforward(self.factor * P, self.setup)
 
 
 @dataclass(frozen=True)
@@ -214,28 +183,25 @@ def pushforward_degree_factor(e: int, q: int, I: Partition) -> int:
     return math.comb((e - k) // 2, (q - k) // 2)
 
 
-def verify_pushforward_coefficient(
-    I: Partition, e: int, q: int, _cache: dict = {}
-) -> PushforwardCheck:
+def _pushforward_instance(e: int, q: int):
+    """G^q(E) on a fresh e-variable ring: the setup, c_top(R ⊗ Q), and
+    the alphabets of Q and E."""
+    ring = Ring([("a", e)])
+    setup = GrassmannSetup(ring, tuple(range(e)), q)
+    gens = [ring.variable(i) for i in range(e)]
+    ctop_rq = product(ring, (gens[i] + gens[j] for j in range(q) for i in range(q, e)))
+    return setup, ctop_rq, Alphabet(ring, tuple(range(q))), Alphabet(ring, tuple(range(e)))
+
+
+def verify_pushforward_coefficient(I: Partition, e: int, q: int) -> PushforwardCheck:
     """Exercise pi_*(c_top(R ⊗ Q) P_I(Q)) = d P_I(E) on G^q(E) by brute
-    force on a fresh e-variable ring (shared across calls per (e, q))."""
+    force on a fresh e-variable ring."""
     if not I.is_strict() or I.length > q:
         raise ValueError(f"need a strict partition with at most q={q} parts, got {I}")
-    got = _cache.get((e, q))
-    if got is None:
-        ring = Ring([("a", e)])
-        setup = GrassmannSetup(ring, tuple(range(e)), q)
-        gens = [ring.variable(i) for i in range(e)]
-        ctop_rq = product(ring, (gens[i] + gens[j] for j in range(q) for i in range(q, e)))
-        got = (ring, RepeatedPushforward(setup, ctop_rq))
-        _cache[(e, q)] = got
-    ring, pusher = got
-    quotient = Alphabet(ring, tuple(range(q)))
-    total = Alphabet(ring, tuple(range(e)))
-    computed = pusher.push(schur_p(I, quotient))
+    setup, ctop_rq, quotient, total = _pushforward_instance(e, q)
+    computed = grassmann_pushforward(ctop_rq * schur_p(I, quotient), setup)
     d = pushforward_degree_factor(e, q, I)
-    expected = schur_p(I, total).scale(d)
-    return PushforwardCheck(e, q, I, d, computed, expected)
+    return PushforwardCheck(e, q, I, d, computed, schur_p(I, total).scale(d))
 
 
 def verify_pushforward_special(e: int, q: int, I: Partition) -> tuple[bool, bool]:
@@ -247,19 +213,12 @@ def verify_pushforward_special(e: int, q: int, I: Partition) -> tuple[bool, bool
 
     Returns (applicable, ok).
     """
-    k = I.length
-    r = e - q
-    ring = Ring([("a", e)])
-    setup = GrassmannSetup(ring, tuple(range(e)), q)
-    gens = [ring.variable(i) for i in range(e)]
-    ctop_rq = product(ring, (gens[i] + gens[j] for j in range(q) for i in range(q, e)))
-    quotient = Alphabet(ring, tuple(range(q)))
-    total = Alphabet(ring, tuple(range(e)))
-    if k == q:
+    setup, ctop_rq, quotient, total = _pushforward_instance(e, q)
+    if I.length == q:
         lhs = grassmann_pushforward(ctop_rq * schur_q(I, quotient), setup)
         return True, lhs == schur_q(I, total)
-    if k == q - 1:
+    if I.length == q - 1:
         lhs = grassmann_pushforward(ctop_rq * schur_p(I, quotient), setup)
-        want = schur_p(I, total) if r % 2 == 0 else ring.zero
+        want = schur_p(I, total) if (e - q) % 2 == 0 else setup.ring.zero
         return True, lhs == want
     return False, True

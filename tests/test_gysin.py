@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,8 +17,71 @@ from qlocus.gysin import (
     verify_pushforward_special,
 )
 from qlocus.partitions import Partition, rectangle, subpartitions
-from qlocus.polyring import Ring, is_symmetric, product
+from qlocus.polyring import Ring, apply_permutation, exact_div, is_symmetric, product
 from qlocus.schur import schur_s
+
+
+def coset_sum_pushforward(P, setup):
+    """Reference push-forward: the literal symmetrizing sum over the cosets
+    of S_e/(S_q x S_r), cleared of denominators.
+
+    Over the full Vandermonde V = prod_{i<j} (a_i - a_j), the coset of a
+    q-subset T contributes sign(T) * sigma_T(P) * V_T, where V_T keeps the
+    factors with both indices on the same side of T; the sum is exactly
+    divisible by V.
+    """
+    ring, vs, e, q = setup.ring, setup.variables, setup.e, setup.q
+    gens = [ring.variable(i) for i in vs]
+    pairs = [(i, j) for i in range(e) for j in range(i + 1, e)]
+    vandermonde = product(ring, (gens[i] - gens[j] for i, j in pairs))
+    total = ring.zero
+    for T in combinations(range(e), q):
+        target = list(T) + [i for i in range(e) if i not in T]
+        perm = list(range(ring.nvars))
+        for i, t in enumerate(target):
+            perm[vs[i]] = vs[t]
+        same_side = product(ring, (gens[i] - gens[j] for i, j in pairs if (i in T) == (j in T)))
+        term = apply_permutation(P, perm) * same_side
+        total = total + (-term if sum(t - i for i, t in enumerate(T)) % 2 else term)
+    return exact_div(total, vandermonde)
+
+
+def block_symmetric_integrands(ring, vs, q):
+    """Integrands symmetric in vs[:q] and in vs[q:], reaching past the
+    fibre dimension, with a spectator variable and Fraction coefficients."""
+    r = len(vs) - q
+    Q = Alphabet(ring, vs[:q])
+    R = Alphabet(ring, vs[q:])
+    rest = [i for i in range(ring.nvars) if i not in vs]
+    x = ring.variable(rest[0]) if rest else ring.const(2)
+    box = rectangle(q, r)
+    cross = product(ring, (ring.variable(i) + ring.variable(j) for i in vs[:q] for j in vs[q:]))
+    return [
+        ring.one + x,
+        schur_s(box, Q),
+        schur_s(box.add(Partition((1,))), Q) * (x + schur_s(Partition((1,)), R)),
+        schur_s(box.add(Partition((2, 1))), Q) * schur_s(Partition((2,)), R),
+        (cross * schur_s(Partition((3, 1)), Q) * x * x).scale(Fraction(1, 3)),
+    ]
+
+
+# (ring size, designated roots): every e <= 5 in ring order, then rotated
+# and non-contiguous designations with spectator variables
+DESIGNATIONS = [(e, tuple(range(e))) for e in range(1, 6)] + [
+    (4, (2, 3, 0, 1)),
+    (6, (5, 1, 3)),
+    (5, (3, 1)),
+    (6, (4, 0, 2, 5, 1)),
+]
+
+
+@pytest.mark.parametrize("nvars,vs", DESIGNATIONS)
+def test_pushforward_matches_the_coset_sum(nvars, vs):
+    ring = Ring([("a", nvars)])
+    for q in range(len(vs) + 1):
+        setup = GrassmannSetup(ring, vs, q)
+        for P in block_symmetric_integrands(ring, vs, q):
+            assert grassmann_pushforward(P, setup) == coset_sum_pushforward(P, setup), (q, P)
 
 
 def line_setup(e):
@@ -102,6 +168,10 @@ def test_setup_validation():
         GrassmannSetup(ring, (0, 1), 3)
     with pytest.raises(ValueError):
         GrassmannSetup(ring, (0, 0), 1)
+    with pytest.raises(ValueError):
+        GrassmannSetup(ring, (0, 7), 1)  # not a variable of the ring
+    with pytest.raises(ValueError):
+        GrassmannSetup(ring, (-1, 0), 1)
 
 
 @given(st.data())
