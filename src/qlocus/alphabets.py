@@ -166,15 +166,6 @@ class ModelContext:
             return self.K
         return difference(self.E, self.F)
 
-    def bundle(self, name: str):
-        table = {"E": self.E, "F": self.F, "E-F": self.e_minus_f()}
-        if self.mode == "surjection":
-            table["K"] = self.K
-        got = table.get(name)
-        if got is None:
-            raise KeyError(f"no bundle {name!r} in {self.mode} model")
-        return got
-
 
 def make_model(mode: str, e: int, f: int) -> ModelContext:
     return ModelContext(mode, e, f)

@@ -37,7 +37,6 @@ from .locus import (
     expression_to_poly,
     projective_degree,
 )
-from .schur import load_persistent_cache, save_persistent_cache
 from .verify import SUITES, run_suites
 
 
@@ -67,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="expression",
     )
     p.add_argument("--mode", choices=("surjection", "independent"), default="surjection")
-    p.add_argument("--cache-dir")
 
     p = sub.add_parser("chern", help="top Chern class of E v F or E ^ F")
     ranks(p, with_r=False)
@@ -82,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="Schur-pair table over independent E, F")
     ranks(p)
-    p.add_argument("--cache-dir")
 
     p = sub.add_parser("verify", help="run brute-force identity suites")
     p.add_argument("--suite", choices=("all", *SUITES), default="all")
@@ -91,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int)
     p.add_argument("--max-p", type=int)
     p.add_argument("--max-weight", type=int)
-    p.add_argument("--cache-dir")
     return top
 
 
@@ -171,9 +167,6 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        load_persistent_cache(cache_dir)
     handlers = {
         "class": cmd_class,
         "chern": cmd_chern,
@@ -182,13 +175,10 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        code = handlers[args.command](args)
+        return handlers[args.command](args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cache_dir:
-        save_persistent_cache(cache_dir)
-    return code
 
 
 if __name__ == "__main__":

@@ -12,78 +12,13 @@ and P_I is Q_I divided by 2^length, which is always exact.
 """
 from __future__ import annotations
 
-import os
-import pickle
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from .alphabets import Alphabet, _as_virtual, complete_sym, q_sym
 from .partitions import Partition, subpartitions
-from .polyring import SHIFT, Poly, Ring
-
-# Optional on-disk memo of Q-polynomial coefficient tables, keyed by
-# (alphabet size, partition) in a ring-independent form.
-_persistent_q: dict | None = None
-_CACHE_BASENAME = "qpoly-cache.pkl"
-
-
-def load_persistent_cache(cache_dir: str) -> None:
-    """Enable the on-disk Q-table cache; stale versions are discarded."""
-    global _persistent_q
-    from . import __version__
-
-    _persistent_q = {}
-    path = os.path.join(cache_dir, _CACHE_BASENAME)
-    try:
-        with open(path, "rb") as fh:
-            blob = pickle.load(fh)
-        if blob.get("version") == __version__:
-            _persistent_q = blob["tables"]
-    except (OSError, pickle.PickleError, KeyError, EOFError):
-        pass
-
-
-def save_persistent_cache(cache_dir: str) -> None:
-    if _persistent_q is None:
-        return
-    from . import __version__
-
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, _CACHE_BASENAME)
-    with open(path, "wb") as fh:
-        pickle.dump({"version": __version__, "tables": _persistent_q}, fh)
-
-
-def _persistent_get(a: Alphabet, I: Partition) -> Poly | None:
-    if _persistent_q is None:
-        return None
-    table = _persistent_q.get((a.size, I.parts))
-    if table is None:
-        return None
-    ring = a.ring
-    terms = {}
-    for exps, c in table.items():
-        key = 0
-        for e, v in zip(exps, a.variables):
-            key |= e << (SHIFT * v)
-        terms[key] = c
-    poly = Poly(ring, terms)
-    return -poly if (a.negated and I.weight % 2) else poly
-
-
-def _persistent_put(a: Alphabet, I: Partition, value: Poly) -> None:
-    if _persistent_q is None:
-        return
-    ring = a.ring
-    pos = {v: i for i, v in enumerate(a.variables)}
-    table = {}
-    sign = -1 if (a.negated and I.weight % 2) else 1
-    for key, c in value.terms.items():
-        exps = [0] * a.size
-        for i, e in enumerate(ring.unpack(key)):
-            if e:
-                exps[pos[i]] = e
-        table[tuple(exps)] = c * sign
-    _persistent_q[(a.size, I.parts)] = table
+from .polyring import Poly, Ring
 
 
 def determinant(ring: Ring, rows: list[list[Poly]]) -> Poly:
@@ -160,10 +95,6 @@ def schur_q(I: Partition, a: Alphabet) -> Poly:
     got = ring.qcache.get(key)
     if got is not None:
         return got
-    got = _persistent_get(a, I)
-    if got is not None:
-        ring.qcache[key] = got
-        return got
     k = I.length
     if k == 0:
         out = ring.one
@@ -188,7 +119,6 @@ def schur_q(I: Partition, a: Alphabet) -> Poly:
             term = head * rest
             out = out + (term if p % 2 == 0 else -term)
     ring.qcache[key] = out
-    _persistent_put(a, I, out)
     return out
 
 
@@ -203,64 +133,47 @@ def schur_p(I: Partition, a: Alphabet) -> Poly:
 # -- expansions -------------------------------------------------------
 
 
-def _block_exponents(ring: Ring, key: int, variables: tuple[int, ...]) -> tuple[int, ...]:
-    exps = ring.unpack(key)
-    return tuple(exps[i] for i in variables)
+def _greedy_expand(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
+    """Write P, symmetric in each of the disjoint alphabets, as a sum of
+    coeff * prod s_{I_k}(alphabets[k]), keyed by the tuple of the I_k.
 
-
-def expand_schur_basis(P: Poly, a: Alphabet) -> dict[Partition, int | Fraction]:
-    """Write a symmetric polynomial of one alphabet in the S-basis.
-
-    Greedy elimination of the leading monomial: for symmetric input the
-    leading exponent vector is a partition, and subtracting that
-    S-polynomial strictly lowers the leading term.
+    Greedy elimination of the leading monomial: for such input the
+    leading exponents on each alphabet form a partition, and subtracting
+    that product of S-polynomials strictly lowers the leading term.
     """
     ring = P.ring
+    inside = [v for a in alphabets for v in a.variables]
+    if len(set(inside)) < len(inside):
+        raise ValueError("alphabets overlap")
+    outside = [i for i in range(ring.nvars) if i not in inside]
     work = P
-    out: dict[Partition, int | Fraction] = {}
+    out: dict[tuple[Partition, ...], int | Fraction] = {}
     while not work.is_zero():
         lead = work.leading_key()
         exps = ring.unpack(lead)
-        if any(exps[i] for i in range(ring.nvars) if i not in a.variables):
-            raise ValueError("polynomial involves variables outside the alphabet")
-        shape = _block_exponents(ring, lead, a.variables)
-        if any(x < y for x, y in zip(shape, shape[1:])):
+        if any(exps[i] for i in outside):
+            raise ValueError("polynomial involves variables outside the alphabets")
+        shapes = [tuple(exps[i] for i in a.variables) for a in alphabets]
+        if any(x < y for shape in shapes for x, y in zip(shape, shape[1:])):
             raise ValueError("leading exponent is not a partition; input not symmetric?")
-        lam = Partition(shape)
+        lams = tuple(map(Partition, shapes))
         c = work.terms[lead]
-        out[lam] = c
-        work = work - schur_s(lam, a).scale(c)
+        out[lams] = c
+        work = work - reduce(mul, map(schur_s, lams, alphabets)).scale(c)
         if not work.is_zero() and ring.sort_key(work.leading_key()) >= ring.sort_key(lead):
             raise RuntimeError("expansion failed to make progress")
     return out
 
 
+def expand_schur_basis(P: Poly, a: Alphabet) -> dict[Partition, int | Fraction]:
+    """Write a symmetric polynomial of one alphabet in the S-basis."""
+    return {lam: c for (lam,), c in _greedy_expand(P, (a,)).items()}
+
+
 def expand_schur_pair(P: Poly, a: Alphabet, b: Alphabet) -> "SchurPairExpansion":
     """Write a polynomial symmetric in each of two disjoint alphabets as
-    sum of coeff * s_I(a) * s_J(b), by greedy leading-term elimination."""
-    ring = P.ring
-    if set(a.variables) & set(b.variables):
-        raise ValueError("alphabets overlap")
-    work = P
-    out: dict[tuple[Partition, Partition], int | Fraction] = {}
-    while not work.is_zero():
-        lead = work.leading_key()
-        exps = ring.unpack(lead)
-        outside = set(range(ring.nvars)) - set(a.variables) - set(b.variables)
-        if any(exps[i] for i in outside):
-            raise ValueError("polynomial involves variables outside both alphabets")
-        sa = _block_exponents(ring, lead, a.variables)
-        sb = _block_exponents(ring, lead, b.variables)
-        for shape in (sa, sb):
-            if any(x < y for x, y in zip(shape, shape[1:])):
-                raise ValueError("leading exponent is not a partition pair; input not block-symmetric?")
-        I, J = Partition(sa), Partition(sb)
-        c = work.terms[lead]
-        out[(I, J)] = c
-        work = work - (schur_s(I, a) * schur_s(J, b)).scale(c)
-        if not work.is_zero() and ring.sort_key(work.leading_key()) >= ring.sort_key(lead):
-            raise RuntimeError("expansion failed to make progress")
-    return SchurPairExpansion(out)
+    sum of coeff * s_I(a) * s_J(b)."""
+    return SchurPairExpansion(_greedy_expand(P, (a, b)))
 
 
 class SchurPairExpansion:

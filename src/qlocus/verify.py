@@ -7,6 +7,7 @@ them into ``CASE <name> <params> : PASS/FAIL`` lines.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from .alphabets import Alphabet, VirtualAlphabet, difference, make_model
@@ -255,19 +256,13 @@ SUITES = {
 def run_suites(names, **bounds) -> list[CaseResult]:
     """Run the named suites with any applicable bound overrides.
 
-    Recognized bounds: max_e, max_f, max_n, max_p, max_weight; each suite
-    picks up the ones it understands.
+    Each suite picks up the bounds among its own keyword parameters;
+    bounds left as None keep the suite's default.
     """
-    accepted = {
-        "schur": {"max_n"},
-        "chern": {"max_f", "max_n"},
-        "gysin": {"max_e", "max_weight"},
-        "locus": {"max_e"},
-        "identities": {"max_f", "max_p", "max_n"},
-    }
     out = []
     for name in names:
         fn = SUITES[name]
-        kw = {k: v for k, v in bounds.items() if v is not None and k in accepted[name]}
+        accepted = inspect.signature(fn).parameters
+        kw = {k: v for k, v in bounds.items() if v is not None and k in accepted}
         out.extend(fn(**kw))
     return out

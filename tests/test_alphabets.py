@@ -125,7 +125,6 @@ def test_model_context_surjection():
     assert ctx.n == 2
     assert ctx.ring.names == ["f1", "f2", "f3", "k1", "k2"]
     assert ctx.e_minus_f() is ctx.K
-    assert ctx.bundle("E-F") is ctx.K
     assert ctx.E.variables == ctx.F.variables + ctx.K.variables
 
 
@@ -134,8 +133,6 @@ def test_model_context_independent():
     assert ctx.K is None
     v = ctx.e_minus_f()
     assert isinstance(v, VirtualAlphabet)
-    with pytest.raises(KeyError):
-        ctx.bundle("K")
 
 
 def test_model_context_validation():

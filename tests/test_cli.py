@@ -150,26 +150,14 @@ def test_determinism(capsys):
     assert first == second
 
 
-def test_cache_dir_round_trip(tmp_path, capsys):
-    import qlocus.schur as schur_mod
-
-    old = schur_mod._persistent_q
-    try:
-        args = (
-            "class",
-            "--e", "4", "--f", "2", "--r", "0", "--symmetry", "sym",
-            "--format", "polynomial",
-            "--cache-dir", str(tmp_path),
-        )
-        code, first, _ = run(capsys, *args)
-        assert code == 0
-        assert (tmp_path / "qpoly-cache.pkl").exists()
-        schur_mod._persistent_q = None
-        code, second, _ = run(capsys, *args)
-        assert code == 0
-        assert first == second
-    finally:
-        schur_mod._persistent_q = old
+def test_removed_cache_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "class", "--e", "4", "--f", "2", "--r", "0", "--symmetry", "sym",
+            "--cache-dir", "X",
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_console_script_entry_point():

@@ -13,8 +13,6 @@ from qlocus.schur import (
     determinant,
     expand_schur_basis,
     expand_schur_pair,
-    load_persistent_cache,
-    save_persistent_cache,
     schur_difference_split,
     schur_p,
     schur_q,
@@ -396,31 +394,3 @@ def test_difference_split_respects_length_cutoff():
     B = Alphabet(ring, ring.block("b"))
     for mu, _ in schur_difference_split(Partition((2, 2, 1)), B, max_a_length=1):
         assert mu.length <= 1
-
-
-# ---------------------------------------------------------------- cache
-
-
-def test_persistent_cache_round_trip(tmp_path):
-    import qlocus.schur as schur_mod
-
-    d = str(tmp_path)
-    old = schur_mod._persistent_q
-    try:
-        load_persistent_cache(d)
-        ring = Ring([("x", 2)])
-        A = Alphabet(ring, ring.block("x"))
-        expected = schur_q(Partition((3, 1)), A)
-        save_persistent_cache(d)
-        assert (tmp_path / "qpoly-cache.pkl").exists()
-
-        # a fresh session with a different block name hits the stored value
-        schur_mod._persistent_q = None
-        load_persistent_cache(d)
-        ring2 = Ring([("y", 2)])
-        A2 = Alphabet(ring2, ring2.block("y"))
-        got = schur_q(Partition((3, 1)), A2)
-        sub = {0: ring.variable(0), 1: ring.variable(1)}
-        assert apply_substitution(got, sub, ring) == expected
-    finally:
-        schur_mod._persistent_q = old
