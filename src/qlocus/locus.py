@@ -225,27 +225,24 @@ def class_schur_pair_expansion(problem: LocusProblem) -> SchurPairExpansion:
     Works term by term: Q/P_K(F) is a polynomial in f variables, and
     s_L(E - F) splits as a signed sum of s_mu(E) times a skew
     S-polynomial of F, so only small f-variable polynomials are ever
-    expanded in the S-basis.  Agrees with a literal two-alphabet greedy
-    expansion of the evaluated class.
+    expanded in the S-basis.  By linearity the F-parts of every term are
+    first summed per E-shape mu, and each sum is expanded once.  Agrees
+    with the two-alphabet expansion of the evaluated class.
     """
     ring = Ring([("f", problem.f)])
     F = Alphabet(ring, tuple(range(problem.f)))
     expr = class_of(problem)
     qp = schur_q if expr.kind == "Q" else schur_p
-    pairs: dict[tuple[Partition, Partition], int] = {}
+    by_mu: dict[Partition, Poly] = {}
     for K, L, c in expr.terms:
         base = qp(K, F).scale(c)
         for mu, f_part in schur_difference_split(L, F, max_a_length=problem.e):
             piece = base * f_part
-            if piece.is_zero():
-                continue
-            for iota, c2 in expand_schur_basis(piece, F).items():
-                key = (iota, mu)
-                v = pairs.get(key, 0) + c2
-                if v:
-                    pairs[key] = v
-                else:
-                    del pairs[key]
+            by_mu[mu] = by_mu[mu] + piece if mu in by_mu else piece
+    pairs: dict[tuple[Partition, Partition], int] = {}
+    for mu, total in by_mu.items():
+        for iota, c2 in expand_schur_basis(total, F).items():
+            pairs[(iota, mu)] = c2
     return SchurPairExpansion(pairs)
 
 

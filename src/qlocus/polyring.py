@@ -30,6 +30,20 @@ def _norm(c):
     return c
 
 
+def _max_exponents(P: "Poly") -> list[int]:
+    """Largest exponent of each variable over the terms of ``P``."""
+    top = [0] * P.ring.nvars
+    for k in P.terms:
+        i = 0
+        while k:
+            e = k & MAX_EXP
+            if e > top[i]:
+                top[i] = e
+            k >>= SHIFT
+            i += 1
+    return top
+
+
 class Ring:
     """An ordered family of variable blocks, e.g. ``[("f", 3), ("k", 1)]``.
 
@@ -172,8 +186,10 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if self.total_degree() + other.total_degree() > MAX_EXP:
-            raise OverflowError("product degree exceeds the packed-exponent bound")
+        if self.total_degree() + other.total_degree() > MAX_EXP and any(
+            x + y > MAX_EXP for x, y in zip(_max_exponents(self), _max_exponents(other))
+        ):
+            raise OverflowError("product exponent exceeds the packed-exponent bound")
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a

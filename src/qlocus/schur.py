@@ -9,16 +9,17 @@ one-row series by the classical Pfaffian-style recurrences:
 * even length >= 4: expansion with signs over the pairs (i_1, i_p)
 
 and P_I is Q_I divided by 2^length, which is always exact.
+
+Expansions into the S-basis of one or two alphabets read each coefficient
+off the terms of the input by straightening (see :func:`_straighten`).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 from .alphabets import Alphabet, _as_virtual, complete_sym, q_sym
 from .partitions import Partition, subpartitions
-from .polyring import Poly, Ring
+from .polyring import MAX_EXP, SHIFT, Poly, Ring, _norm, is_symmetric
 
 
 def determinant(ring: Ring, rows: list[list[Poly]]) -> Poly:
@@ -133,47 +134,63 @@ def schur_p(I: Partition, a: Alphabet) -> Poly:
 # -- expansions -------------------------------------------------------
 
 
-def _greedy_expand(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
+def _straighten(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
     """Write P, symmetric in each of the disjoint alphabets, as a sum of
     coeff * prod s_{I_k}(alphabets[k]), keyed by the tuple of the I_k.
 
-    Greedy elimination of the leading monomial: for such input the
-    leading exponents on each alphabet form a partition, and subtracting
-    that product of S-polynomials strictly lowers the leading term.
+    Straightening by the bialternant identity (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, I.3): for P symmetric in n variables,
+    P * a_delta = sum of c_lam * a_{lam + delta}, with delta = (n-1, ..., 0)
+    laid along the alphabet's variables.  So each term c * x^beta adds
+    sign * c to c_lam, where gamma = beta + delta sorted decreasingly is
+    lam + delta and sign is the parity of that sort; a gamma with a
+    repeated entry adds nothing.  No S-polynomial is built.  A dual
+    alphabet contributes (-1)^{|lam|}, since s_lam(-a) = (-1)^{|lam|} s_lam(a).
+
+    Only symmetric input has such an expansion, so symmetry in each
+    alphabet is checked first; on other input the rule would silently
+    return a wrong answer.
     """
     ring = P.ring
     inside = [v for a in alphabets for v in a.variables]
     if len(set(inside)) < len(inside):
         raise ValueError("alphabets overlap")
-    outside = [i for i in range(ring.nvars) if i not in inside]
-    work = P
-    out: dict[tuple[Partition, ...], int | Fraction] = {}
-    while not work.is_zero():
-        lead = work.leading_key()
-        exps = ring.unpack(lead)
-        if any(exps[i] for i in outside):
-            raise ValueError("polynomial involves variables outside the alphabets")
-        shapes = [tuple(exps[i] for i in a.variables) for a in alphabets]
-        if any(x < y for shape in shapes for x, y in zip(shape, shape[1:])):
-            raise ValueError("leading exponent is not a partition; input not symmetric?")
-        lams = tuple(map(Partition, shapes))
-        c = work.terms[lead]
-        out[lams] = c
-        work = work - reduce(mul, map(schur_s, lams, alphabets)).scale(c)
-        if not work.is_zero() and ring.sort_key(work.leading_key()) >= ring.sort_key(lead):
-            raise RuntimeError("expansion failed to make progress")
-    return out
+    outside = 0
+    for i in set(range(ring.nvars)) - set(inside):
+        outside |= MAX_EXP << (SHIFT * i)
+    if any(k & outside for k in P.terms):
+        raise ValueError("polynomial involves variables outside the alphabets")
+    for a in alphabets:
+        if not is_symmetric(P, a.variables):
+            raise ValueError("polynomial is not symmetric in the alphabet")
+    layout = [[(SHIFT * v, a.size - 1 - i) for i, v in enumerate(a.variables)] for a in alphabets]
+    out: dict[tuple[tuple[int, ...], ...], int | Fraction] = {}
+    for key, c in P.terms.items():
+        shapes = []
+        for a, places in zip(alphabets, layout):
+            gamma = [((key >> shift) & MAX_EXP) + d for shift, d in places]
+            if len(set(gamma)) < len(gamma):
+                break
+            lam = tuple(g - d for g, (_, d) in zip(sorted(gamma, reverse=True), places))
+            inversions = sum(x < y for i, x in enumerate(gamma) for y in gamma[i + 1 :])
+            if (inversions + (a.negated and sum(lam))) % 2:
+                c = -c
+            shapes.append(lam)
+        else:
+            shapes = tuple(shapes)
+            out[shapes] = out.get(shapes, 0) + c
+    return {tuple(map(Partition, shapes)): _norm(c) for shapes, c in out.items() if c}
 
 
 def expand_schur_basis(P: Poly, a: Alphabet) -> dict[Partition, int | Fraction]:
     """Write a symmetric polynomial of one alphabet in the S-basis."""
-    return {lam: c for (lam,), c in _greedy_expand(P, (a,)).items()}
+    return {lam: c for (lam,), c in _straighten(P, (a,)).items()}
 
 
 def expand_schur_pair(P: Poly, a: Alphabet, b: Alphabet) -> "SchurPairExpansion":
     """Write a polynomial symmetric in each of two disjoint alphabets as
     sum of coeff * s_I(a) * s_J(b)."""
-    return SchurPairExpansion(_greedy_expand(P, (a, b)))
+    return SchurPairExpansion(_straighten(P, (a, b)))
 
 
 class SchurPairExpansion:

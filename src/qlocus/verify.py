@@ -220,7 +220,8 @@ def suite_locus(max_e: int = 4) -> list[CaseResult]:
         out.append(
             CaseResult("locus.degree", f"e={len(et)} f={len(ft)} r={r} {sym}", got == (c_want, d_want))
         )
-    # Schur-pair expansion against the literal two-alphabet greedy
+    # Schur-pair expansion per E-shape against the two-alphabet expansion
+    # of the evaluated class
     for e, f, r, sym in [(4, 3, 2, "sym"), (5, 4, 2, "skew"), (5, 3, 1, "skew")]:
         prob = LocusProblem(e, f, r, sym)
         ctx = make_model("independent", e, f)

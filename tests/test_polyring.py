@@ -119,6 +119,16 @@ def test_multiplication_overflow_guard():
     big = R.monomial((40, 0, 0))
     with pytest.raises(OverflowError):
         big * big
+    with pytest.raises(OverflowError):
+        (big + x2) * (x1**30 + x3)
+
+
+def test_multiplication_past_total_degree_bound_without_field_overflow():
+    # total degree 70 > MAX_EXP, yet no single exponent passes it
+    assert x1**40 * x2**30 == R.monomial((40, 30, 0))
+    assert (x1**40 + x2) * (x2**30 + x3**63) == R.poly(
+        {R.pack((40, 30, 0)): 1, R.pack((40, 0, 63)): 1, R.pack((0, 31, 0)): 1, R.pack((0, 1, 63)): 1}
+    )
 
 
 def test_structure_queries():

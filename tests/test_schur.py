@@ -1,13 +1,24 @@
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlocus.alphabets import Alphabet, complete_sym, difference, make_model
+from qlocus.locus import LocusProblem, class_of, class_schur_pair_expansion, expression_to_poly
 from qlocus.partitions import Partition, rectangle, staircase, strict_partitions_bounded, subpartitions
-from qlocus.polyring import Ring, apply_permutation, apply_substitution, exact_div, is_symmetric, product
+from qlocus.polyring import (
+    Poly,
+    Ring,
+    apply_permutation,
+    apply_substitution,
+    exact_div,
+    is_symmetric,
+    product,
+)
 from qlocus.schur import (
     SchurPairExpansion,
     determinant,
@@ -77,6 +88,38 @@ def symmetrizer_q(I: Partition, ring: Ring, n: int):
         term = apply_permutation(base, list(w))
         total = total + (term if _perm_sign(w) > 0 else -term)
     return exact_div(total.scale(Fraction(2**l, math.factorial(n - l))), V)
+
+
+def greedy_expand(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
+    """Write P, symmetric in each of the disjoint alphabets, as a sum of
+    coeff * prod s_{I_k}(alphabets[k]), keyed by the tuple of the I_k.
+
+    Greedy elimination of the leading monomial: for such input the
+    leading exponents on each alphabet form a partition, and subtracting
+    that product of S-polynomials strictly lowers the leading term.
+    """
+    ring = P.ring
+    inside = [v for a in alphabets for v in a.variables]
+    if len(set(inside)) < len(inside):
+        raise ValueError("alphabets overlap")
+    outside = [i for i in range(ring.nvars) if i not in inside]
+    work = P
+    out: dict[tuple[Partition, ...], int | Fraction] = {}
+    while not work.is_zero():
+        lead = work.leading_key()
+        exps = ring.unpack(lead)
+        if any(exps[i] for i in outside):
+            raise ValueError("polynomial involves variables outside the alphabets")
+        shapes = [tuple(exps[i] for i in a.variables) for a in alphabets]
+        if any(x < y for shape in shapes for x, y in zip(shape, shape[1:])):
+            raise ValueError("leading exponent is not a partition; input not symmetric?")
+        lams = tuple(map(Partition, shapes))
+        c = work.terms[lead]
+        out[lams] = c
+        work = work - reduce(mul, map(schur_s, lams, alphabets)).scale(c)
+        if not work.is_zero() and ring.sort_key(work.leading_key()) >= ring.sort_key(lead):
+            raise RuntimeError("expansion failed to make progress")
+    return out
 
 
 # ---------------------------------------------------------------- determinant
@@ -331,8 +374,25 @@ def test_expand_schur_basis_round_trip(data):
 def test_expand_schur_basis_rejects_asymmetric_input():
     ring = Ring([("x", 2)])
     A = Alphabet(ring, ring.block("x"))
+    x1, x2 = ring.variable(0), ring.variable(1)
     with pytest.raises(ValueError):
-        expand_schur_basis(ring.variable(0), A)
+        expand_schur_basis(x1, A)
+    # leading monomials that are partitions: only the symmetry check
+    # tells these apart from s_[2], s_[2,1] + s_[1,1] and s_[2] + s_[1,1]
+    for P in (x1**2, x1**2 * x2 + x1 * x2, x1 * x1 + x1 * x2):
+        with pytest.raises(ValueError):
+            expand_schur_basis(P, A)
+        with pytest.raises(ValueError):
+            expand_schur_basis(P, A.dual())
+    pair = Ring([("a", 2), ("b", 2)])
+    A = Alphabet(pair, pair.block("a"))
+    B = Alphabet(pair, pair.block("b"))
+    # symmetric in A, not in B
+    P = schur_s(Partition((2, 1)), A) * pair.variable(2) ** 2
+    with pytest.raises(ValueError):
+        expand_schur_pair(P, A, B)
+    with pytest.raises(ValueError):
+        expand_schur_pair(P, B, A)
 
 
 def test_expand_schur_basis_rejects_foreign_variables():
@@ -361,6 +421,58 @@ def test_expand_schur_pair_round_trip(data):
     got = expand_schur_pair(P, A, B)
     assert got == SchurPairExpansion(coeffs)
     assert got.to_poly(A, B) == P
+
+
+def test_expansions_on_dual_alphabets():
+    # s_lam(A*) = (-1)^|lam| s_lam(A); the S-basis of A* must read back
+    # every integer combination of its own elements, odd weights included
+    ring = Ring([("x", 3)])
+    A = Alphabet(ring, ring.block("x"))
+    D = A.dual()
+    assert expand_schur_basis(schur_s(Partition((1,)), D), D) == {Partition((1,)): 1}
+    for w in range(1, 5):
+        shapes = [I for I in subpartitions(rectangle(3, w)) if I.weight == w]
+        coeffs = {I: (-1) ** k * (k + 2) for k, I in enumerate(shapes)}
+        P = ring.zero
+        for I, c in coeffs.items():
+            P = P + schur_s(I, D).scale(c)
+        assert expand_schur_basis(P, D) == coeffs, w
+        assert expand_schur_basis(P, A) == {
+            I: c * (-1) ** w for I, c in coeffs.items()
+        }, w
+    pair = Ring([("a", 2), ("b", 2)])
+    A = Alphabet(pair, pair.block("a"))
+    B = Alphabet(pair, pair.block("b"))
+    coeffs = {
+        (Partition((1,)), Partition((2, 1))): 3,
+        (Partition((2, 1)), Partition(())): -2,
+        (Partition((1, 1)), Partition((1,))): 5,
+        (Partition(()), Partition((1,))): 1,
+    }
+    P = pair.zero
+    for (I, J), c in coeffs.items():
+        P = P + (schur_s(I, A.dual()) * schur_s(J, B)).scale(c)
+    got = expand_schur_pair(P, A.dual(), B)
+    assert got == SchurPairExpansion(coeffs)
+    assert got.to_poly(A.dual(), B) == P
+
+
+def test_expansions_match_greedy_reference_on_small_loci():
+    problems = [
+        LocusProblem(e, f, r, sym)
+        for e in range(1, 5)
+        for f in range(1, e + 1)
+        for r in range(f + 1)
+        for sym in ("sym", "skew")
+        if not (sym == "skew" and e == f and r % 2)
+    ]
+    assert len(problems) == 54
+    for prob in problems:
+        ctx = make_model("independent", prob.e, prob.f)
+        P = expression_to_poly(class_of(prob), ctx)
+        want = SchurPairExpansion(greedy_expand(P, (ctx.F, ctx.E)))
+        assert expand_schur_pair(P, ctx.F, ctx.E) == want, prob
+        assert class_schur_pair_expansion(prob) == want, prob
 
 
 def test_pair_expansion_render():
