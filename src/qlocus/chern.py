@@ -1,8 +1,9 @@
 """Top Chern classes of tensor-type constructions, in closed form.
 
-Each class has a closed-form expression in Schur S/Q/P polynomials and a
-literal product-of-linear-forms oracle over the Chern roots; agreement of
-the two is the main correctness check.
+Each class has a closed-form expression in Schur S/Q/P polynomials, a
+skew-Schur form evaluated as one Jacobi-Trudi determinant (see
+:func:`skew_schur_sum`), and a literal product-of-linear-forms oracle over
+the Chern roots; agreement of the three is the main correctness check.
 
 For a subbundle F of E (presented by a surjection model with kernel K),
 ``E v F`` denotes the rank f(f+1)/2 + fn bundle of "symmetrized pairs"
@@ -12,10 +13,10 @@ alternating cousin with i < j.
 """
 from __future__ import annotations
 
-from .alphabets import Alphabet, ModelContext
-from .partitions import Partition, complement_conjugate, rectangle_partitions, staircase, subpartitions
+from .alphabets import Alphabet, ModelContext, difference
+from .partitions import Partition, complement_conjugate, rectangle_partitions, staircase
 from .polyring import Poly, product
-from .schur import schur_p, schur_q, schur_s, schur_skew
+from .schur import schur_p, schur_q, schur_s
 
 
 def ctop_tensor(a: Alphabet, b: Alphabet) -> Poly:
@@ -46,11 +47,15 @@ def staircase_schur_sum(kind: str, stair: int, rows: int, cols: int, a: Alphabet
 
 
 def skew_schur_sum(T: Partition, a: Alphabet, d) -> Poly:
-    """sum over J ⊂ T of s_{T/J}(a) * s_{J̃}(d)."""
-    total = a.ring.zero
-    for J in subpartitions(T):
-        total = total + schur_skew(T, J, a) * schur_s(J.conjugate(), d)
-    return total
+    """sum over J ⊂ T of s_{T/J}(a) * s_{J̃}(d), evaluated as the single
+    determinant s_T(a - d^∨).
+
+    By the coproduct s_T(A + B) = sum over J of s_{T/J}(A) s_J(B), and
+    s_J(-D^∨) = s_{J̃}(D) (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I.3 and I.5).  ``d`` may be an alphabet or a virtual
+    one; its dual flips every sign, so a - (P - N)^∨ = (a + N^∨) - P^∨.
+    """
+    return schur_s(T, difference(a, d.dual()))
 
 
 def ctop_sym2(a: Alphabet) -> Poly:

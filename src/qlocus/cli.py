@@ -13,12 +13,14 @@ Subcommands:
 
 All output is deterministic; identical invocations print identical
 bytes.  Usage and domain errors exit with status 2 and one line on
-stderr; a failed verification exits with status 1.
+stderr; a failed verification exits with status 1, and a reader closing
+stdout early (``| head``) with status 141 and nothing on stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .alphabets import make_model
@@ -175,10 +177,18 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader left early (``| head``); keep the flush at exit quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

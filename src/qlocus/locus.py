@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .alphabets import Alphabet, ModelContext, VirtualAlphabet, make_model
+from .alphabets import Alphabet, ModelContext, difference, make_model
 from .chern import (
     ctop_sym2,
     ctop_wedge2,
@@ -299,10 +299,10 @@ def _flag_model(f: int, p: int, n: int):
     fs = FlagSetup(ctx.ring.block("f"), ctx.ring.block("k"), p)
     s_dual = Alphabet(ctx.ring, fs.s_vars(), negated=True)
     r_dual = Alphabet(ctx.ring, fs.s_vars() + fs.k_vars, negated=True)
-    rs_diff = VirtualAlphabet((r_dual,), (s_dual,))
+    rs_diff = difference(r_dual, s_dual)
     e_dual = ctx.E.dual()
     f_dual = ctx.F.dual()
-    ef_diff = VirtualAlphabet((e_dual,), (f_dual,))
+    ef_diff = difference(e_dual, f_dual)
     return ctx, fs, s_dual, rs_diff, f_dual, ef_diff
 
 
@@ -365,7 +365,7 @@ def _identity_via_product(kind: str, f: int, p: int, n: int, ctx: ModelContext) 
     v = ring.block("v")
     s_dual = Alphabet(ring, u[: f - p], negated=True)
     r_dual = Alphabet(ring, v[: e - p], negated=True)
-    rs_diff = VirtualAlphabet((r_dual,), (s_dual,))
+    rs_diff = difference(r_dual, s_dual)
     correction = tensor_sum_product(s_dual, Alphabet(ring, v[e - p :]))
     if kind == "sym":
         mult = schur_s(staircase(p - 1), s_dual)

@@ -70,8 +70,7 @@ class Ring:
         self.zero = Poly(self, {})
         self.one = Poly(self, {0: 1})
         self._vcache = [Poly(self, {1 << (SHIFT * i): 1}) for i in range(pos)]
-        self.qcache: dict = {}   # schur_s/schur_skew/schur_q memo, keyed in schur
-        self.scache: dict = {}   # complete-sym series memo
+        self.memo: dict = {}  # alphabets/schur memo: "h" series, "s" Jacobi-Trudi, "Q" recurrence
 
     def block(self, name: str) -> tuple[int, ...]:
         return self.blocks[name]

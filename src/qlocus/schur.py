@@ -1,8 +1,10 @@
 """Schur S-, Q- and P-polynomials of alphabets, and expansions into them.
 
-S-polynomials of (virtual) alphabets are Jacobi-Trudi determinants in
-the complete symmetric functions.  Q-polynomials are built from the
-one-row series by the classical Pfaffian-style recurrences:
+S-polynomials of (virtual) alphabets, skew or not, are Jacobi-Trudi
+determinants in the complete symmetric functions, all built by
+:func:`schur_skew` (``schur_s`` is the skew shape over the empty
+partition).  Q-polynomials are built from the one-row series, the
+complete series of A - A^∨, by the classical Pfaffian-style recurrences:
 
 * two rows, i > j:  Q_(i,j) = Q_i Q_j + 2 * sum_{p=1..j} (-1)^p Q_{i+p} Q_{j-p}
 * odd length:       expansion with signs over (i_p, rest)
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .alphabets import Alphabet, _as_virtual, complete_sym, q_sym
+from .alphabets import Alphabet, VirtualAlphabet, _as_virtual, complete_sym, q_sym
 from .partitions import Partition, subpartitions
 from .polyring import MAX_EXP, SHIFT, Poly, Ring, _norm, is_symmetric
 
@@ -53,19 +55,7 @@ def determinant(ring: Ring, rows: list[list[Poly]]) -> Poly:
 
 def schur_s(I: Partition, v) -> Poly:
     """Jacobi-Trudi: det [ s_{i_p - p + q} ]_{1<=p,q<=length}."""
-    v = _as_virtual(v)
-    ring = v.ring
-    key = ("s", v.sig(), I.parts)
-    got = ring.qcache.get(key)
-    if got is None:
-        k = I.length
-        rows = [
-            [complete_sym(I.parts[p] - (p + 1) + (q + 1), v) for q in range(k)]
-            for p in range(k)
-        ]
-        got = determinant(ring, rows)
-        ring.qcache[key] = got
-    return got
+    return schur_skew(I, Partition(), v)
 
 
 def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
@@ -74,8 +64,8 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
         raise ValueError(f"{mu} is not contained in {lam}")
     v = _as_virtual(v)
     ring = v.ring
-    key = ("sk", v.sig(), lam.parts, mu.parts)
-    got = ring.qcache.get(key)
+    key = ("s", v.sig(), lam.parts, mu.parts)
+    got = ring.memo.get(key)
     if got is None:
         k = lam.length
         rows = [
@@ -83,7 +73,7 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
             for p in range(1, k + 1)
         ]
         got = determinant(ring, rows)
-        ring.qcache[key] = got
+        ring.memo[key] = got
     return got
 
 
@@ -93,7 +83,7 @@ def schur_q(I: Partition, a: Alphabet) -> Poly:
         raise ValueError(f"Q-polynomials are indexed by strict partitions, got {I}")
     ring = a.ring
     key = ("Q", a.sig(), I.parts)
-    got = ring.qcache.get(key)
+    got = ring.memo.get(key)
     if got is not None:
         return got
     k = I.length
@@ -119,7 +109,7 @@ def schur_q(I: Partition, a: Alphabet) -> Poly:
             rest = schur_q(Partition(I.parts[1 : p - 1] + I.parts[p:]), a)
             term = head * rest
             out = out + (term if p % 2 == 0 else -term)
-    ring.qcache[key] = out
+    ring.memo[key] = out
     return out
 
 
@@ -242,19 +232,18 @@ class SchurPairExpansion:
 def schur_difference_split(L: Partition, b: Alphabet, max_a_length: int | None = None):
     """Decompose s_L(A - B) without touching the alphabet A:
 
-        s_L(A - B) = sum over mu ⊂ L of (-1)^{|L|-|mu|} s_mu(A) * s_{L~/mu~}(B)
+        s_L(A - B) = sum over mu ⊂ L of s_mu(A) * s_{L/mu}(-B)
 
-    (~ denoting conjugates).  Returns a list of (mu, polynomial in B).
+    by the coproduct.  Returns a list of (mu, polynomial in B).
     Partitions mu longer than ``max_a_length`` are dropped, which is the
     vanishing of s_mu on an alphabet of that size.
     """
-    Lc = L.conjugate()
+    minus_b = VirtualAlphabet((), (b,))
     out = []
     for mu in subpartitions(L):
         if max_a_length is not None and mu.length > max_a_length:
             continue
-        sign = -1 if (L.weight - mu.weight) % 2 else 1
-        skew = schur_skew(Lc, mu.conjugate(), b)
+        skew = schur_skew(L, mu, minus_b)
         if not skew.is_zero():
-            out.append((mu, skew.scale(sign)))
+            out.append((mu, skew))
     return out

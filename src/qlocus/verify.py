@@ -10,7 +10,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 
-from .alphabets import Alphabet, VirtualAlphabet, difference, make_model
+from .alphabets import Alphabet, difference, make_model
 from .chern import (
     ctop_product_oracle,
     ctop_sym2,
@@ -199,7 +199,7 @@ def suite_locus(max_e: int = 4) -> list[CaseResult]:
         for f in range(1, e + 1):
             ctx = make_model("surjection", e, f)
             got = expression_to_poly(class_of(LocusProblem(e, f, f - 1, "sym")), ctx)
-            want = schur_s(Partition((e - f + 1,)), VirtualAlphabet((ctx.F,), (ctx.E.dual(),)))
+            want = schur_s(Partition((e - f + 1,)), difference(ctx.F, ctx.E.dual()))
             out.append(CaseResult("locus.porteous", f"e={e} f={f} r={f-1}", got == want))
     # Pfaffian loci: skew, n = 1, r even: s_{rho_{e-r-1}}(E)
     for e, f, r in [(3, 2, 0), (5, 4, 2)]:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qlocus.alphabets import Alphabet, make_model
+from qlocus.alphabets import Alphabet, difference, make_model
 from qlocus.chern import (
     ctop_product_oracle,
     ctop_sym2,
@@ -12,9 +12,27 @@ from qlocus.chern import (
     ctop_wedge2,
     ctop_wedge_skew,
     pair_sum_product,
+    skew_schur_sum,
     tensor_sum_product,
 )
+from qlocus.locus import _flag_model
+from qlocus.partitions import Partition, subpartitions
 from qlocus.polyring import Ring, product
+from qlocus.schur import schur_s, schur_skew
+
+
+def literal_skew_schur_sum(T, a, d):
+    """Reference for skew_schur_sum: the sum over J ⊂ T of
+    s_{T/J}(a) * s_{J̃}(d), one skew determinant per J."""
+    total = a.ring.zero
+    for J in subpartitions(T):
+        total = total + schur_skew(T, J, a) * schur_s(J.conjugate(), d)
+    return total
+
+
+def _skew_shapes(top: int, bottom: int) -> Partition:
+    """The staircase-like shape (top, top - 1, ..., bottom)."""
+    return Partition(tuple(range(top, bottom - 1, -1)))
 
 
 def test_tensor_top_class_is_the_product_of_root_sums():
@@ -101,3 +119,55 @@ def test_product_oracle_rejects_unknown_kind():
     ctx = make_model("surjection", 3, 2)
     with pytest.raises(ValueError):
         ctop_product_oracle(ctx, "cup")
+
+
+def _assert_skew_route_is_the_literal_sum(ctx, f, n):
+    e = f + n
+    d = ctx.e_minus_f()  # the kernel K, or the virtual E - F
+    for T in (_skew_shapes(e, n + 1), _skew_shapes(e - 1, n)):
+        assert skew_schur_sum(T, ctx.F, d) == literal_skew_schur_sum(T, ctx.F, d), T
+
+
+# Criterion-3 shapes T = (e, ..., n+1) for vee and (e-1, ..., n) for wedge,
+# as far as the literal sum stays cheap: on the independent model it
+# multiplies out s_J(E - F) in e + f variables.
+@pytest.mark.parametrize("f,n", [(f, n) for f in range(1, 5) for n in range(0, 4) if f + n <= 5])
+def test_skew_schur_sum_matches_the_literal_sum_on_the_surjection_model(f, n):
+    _assert_skew_route_is_the_literal_sum(make_model("surjection", f + n, f), f, n)
+
+
+@pytest.mark.parametrize("f,n", [(f, n) for f in range(1, 4) for n in range(0, 4) if f + n <= 4])
+def test_skew_schur_sum_matches_the_literal_sum_on_the_independent_model(f, n):
+    _assert_skew_route_is_the_literal_sum(make_model("independent", f + n, f), f, n)
+
+
+# The middle members of the push-forward identities of criterion 5, on (S*, R* - S*).
+_FLAG_CASES = [(f, p, n) for f in range(1, 5) for p in range(0, min(1, (f - 1) // 2) + 1) for n in range(0, 2)]
+
+
+@pytest.mark.parametrize("f,p,n", _FLAG_CASES + [(5, 2, 0)])
+def test_skew_schur_sum_matches_the_literal_sum_on_the_flag_model(f, p, n):
+    e = f + n
+    _, _, s_dual, rs_diff, _, _ = _flag_model(f, p, n)
+    for T in (_skew_shapes(e - p, n + 1), _skew_shapes(e - p - 1, n)):
+        assert skew_schur_sum(T, s_dual, rs_diff) == literal_skew_schur_sum(T, s_dual, rs_diff), T
+
+
+@st.composite
+def _skew_problems(draw):
+    """T with at most three parts of at most 5; a plain or dual alphabet
+    of at most three roots; d plain, dual or virtual, at most three roots."""
+    T = Partition(sorted(draw(st.lists(st.integers(0, 5), max_size=3)), reverse=True))
+    virtual = draw(st.booleans())
+    npos = draw(st.integers(1, 2 if virtual else 3))
+    nneg = draw(st.integers(1, 3 - npos)) if virtual else 0
+    ring = Ring([("a", draw(st.integers(1, 3))), ("b", npos), ("c", nneg)])
+    negated = draw(st.lists(st.booleans(), min_size=3, max_size=3))
+    a, b, c = (Alphabet(ring, ring.block(name), neg) for name, neg in zip("abc", negated))
+    return T, a, difference(b, c) if virtual else b
+
+
+@given(_skew_problems())
+def test_skew_schur_sum_matches_the_literal_sum(problem):
+    T, a, d = problem
+    assert skew_schur_sum(T, a, d) == literal_skew_schur_sum(T, a, d)

@@ -170,3 +170,21 @@ def test_console_script_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout == "codim=1 degree=2\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # short output: the write fails at the final flush
+    ["class", "--e", "4", "--f", "3", "--r", "2", "--symmetry", "sym"],
+    # about 29 kB, past the stdout buffer: the write fails inside print
+    ["chern", "--e", "6", "--f", "3", "--kind", "vee", "--route", "oracle"],
+])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qlocus.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader goes away before the first write
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert err == b""
