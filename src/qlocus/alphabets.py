@@ -80,21 +80,30 @@ def difference(a, b) -> VirtualAlphabet:
     return VirtualAlphabet(a.pos + b.neg, a.neg + b.pos)
 
 
-def _complete_series(v: VirtualAlphabet, upto: int) -> list[Poly]:
-    """Coefficients of the series prod 1/(1-a t) * prod (1-b t) up to t^upto;
-    the linear factors go first, which makes the series of A - A^∨ (``q_sym``)
-    two to three times cheaper than the other order."""
+def _complete_series(v: VirtualAlphabet, upto: int, grown=None) -> tuple[list[Poly], list[Poly]]:
+    """Coefficients of the series prod 1/(1-a t) * prod (1-b t) up to t^upto.
+
+    The series is built one degree at a time through the factors, linear
+    ones first (that order makes the series of A - A^∨, ``q_sym``, two to
+    three times cheaper than the other).  Entry j of a degree's column is
+    the coefficient of the product of the first j factors, and the last
+    column is all the next degree needs.  So ``grown``, the
+    (coefficients, last column) pair of an earlier call, is extended,
+    never rebuilt from t^0; the new pair is returned.
+    """
     ring = v.ring
-    s = [ring.one] + [ring.zero] * upto
-    for alph in v.neg:
-        for b in alph.roots():
-            for d in range(upto, 0, -1):
-                s[d] = s[d] - b * s[d - 1]
-    for alph in v.pos:
-        for a in alph.roots():
-            for d in range(1, upto + 1):
-                s[d] = s[d] + a * s[d - 1]
-    return s
+    factors = [(b, False) for alph in v.neg for b in alph.roots()]
+    factors += [(a, True) for alph in v.pos for a in alph.roots()]
+    if grown is None:
+        grown = ([ring.one], [ring.one] * (len(factors) + 1))
+    series, column = list(grown[0]), grown[1]  # a copy: ``grown`` stays whole if a product overflows
+    for _ in range(len(series), upto + 1):
+        new = [ring.zero]
+        for j, (r, geometric) in enumerate(factors, 1):
+            new.append(new[-1] + r * column[j] if geometric else new[-1] - r * column[j - 1])
+        series.append(new[-1])
+        column = new
+    return series, column
 
 
 def complete_sym(i: int, v) -> Poly:
@@ -106,11 +115,11 @@ def complete_sym(i: int, v) -> Poly:
     if i < 0:
         return ring.zero
     key = ("h", v.sig())
-    series = ring.memo.get(key)
-    if series is None or len(series) <= i:
-        series = _complete_series(v, max(i, 8))
-        ring.memo[key] = series
-    return series[i]
+    grown = ring.memo.get(key)
+    if grown is None or len(grown[0]) <= i:
+        grown = _complete_series(v, max(i, 8), grown)
+        ring.memo[key] = grown
+    return grown[0][i]
 
 
 def q_sym(i: int, a: Alphabet) -> Poly:

@@ -4,11 +4,20 @@ Variables live in named blocks declared once per :class:`Ring` (one ring
 per computation).  A monomial is stored as a single integer with six bits
 per variable, so multiplying monomials is integer addition; coefficients
 are Python ints, silently widened to :class:`fractions.Fraction` when a
-division forces it and narrowed back once the denominator clears.
+division forces it and narrowed back once the denominator clears.  A
+coefficient that is already an ``int`` (``type(c) is int``) never goes
+through that narrowing, so integral arithmetic skips it.
 
 The term order everywhere (leading terms, canonical rendering, exact
 division) is graded reverse lexicographic with respect to the global
-variable order, larger degrees first.
+variable order, larger degrees first.  Its sort key is
+(degree, -packed key): the last variable sits in the top six bits, so
+comparing packed keys as integers compares (e_{n-1}, ..., e_0)
+lexicographically, and no key is unpacked to sort.
+
+A product of nonzero polynomials carries its total degree, deg P + deg Q
+(exact, as Q[x] is a domain); negation and nonzero scaling keep it.  So
+the overflow guard of the next product does not rescan the terms.
 """
 from __future__ import annotations
 
@@ -112,13 +121,11 @@ class Ring:
 
     def _invkey(self, key: int):
         """Heap key: grevlex-larger monomials compare smaller."""
-        e = self.unpack(key)
-        return (-sum(e), e[::-1])
+        return (-self.key_degree(key), key)
 
     def sort_key(self, key: int):
         """Grevlex sort key; sort descending to get the canonical order."""
-        e = self.unpack(key)
-        return (sum(e), tuple(-x for x in reversed(e)))
+        return (self.key_degree(key), -key)
 
 
 class Poly:
@@ -139,7 +146,7 @@ class Poly:
 
     def is_integral(self) -> bool:
         """True when every coefficient is an integer."""
-        return all(not isinstance(c, Fraction) for c in self.terms.values())
+        return all(type(c) is int for c in self.terms.values())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -158,7 +165,7 @@ class Poly:
         for k, c in other.terms.items():
             v = out.get(k, 0) + c
             if v:
-                out[k] = _norm(v)
+                out[k] = v if type(v) is int else _norm(v)
             else:
                 out.pop(k, None)
         return Poly(self.ring, out)
@@ -166,7 +173,9 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ring, {k: -c for k, c in self.terms.items()})
+        P = Poly(self.ring, {k: -c for k, c in self.terms.items()})
+        P._deg = self._deg
+        return P
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -180,12 +189,19 @@ class Poly:
         c = _norm(c)
         if not c:
             return self.ring.zero
-        return Poly(self.ring, {k: _norm(v * c) for k, v in self.terms.items()})
+        out = {}
+        for k, v in self.terms.items():
+            v *= c
+            out[k] = v if type(v) is int else _norm(v)
+        P = Poly(self.ring, out)
+        P._deg = self._deg
+        return P
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        if self.total_degree() + other.total_degree() > MAX_EXP and any(
+        deg = self.total_degree() + other.total_degree()
+        if deg > MAX_EXP and any(
             x + y > MAX_EXP for x, y in zip(_max_exponents(self), _max_exponents(other))
         ):
             raise OverflowError("product exponent exceeds the packed-exponent bound")
@@ -202,7 +218,13 @@ class Poly:
                     out[k] = v
                 else:
                     del out[k]
-        return Poly(self.ring, {k: _norm(c) for k, c in out.items()} if out else out)
+        if not out:
+            return Poly(self.ring, out)
+        if not (all(type(c) is int for c in a.values()) and all(type(c) is int for c in b.values())):
+            out = {k: _norm(c) for k, c in out.items()}
+        P = Poly(self.ring, out)
+        P._deg = deg  # exact: Q[x] is a domain, so the top-degree parts cannot cancel
+        return P
 
     __rmul__ = __mul__
 
@@ -257,17 +279,21 @@ class Poly:
         if not self.terms:
             return "0"
         ring = self.ring
-        keys = sorted(self.terms, key=ring.sort_key, reverse=True)
+        names = ring.names
+        terms = self.terms
         pieces = []
-        for k in keys:
-            c = self.terms[k]
-            exps = ring.unpack(k)
+        for k in sorted(terms, key=ring.sort_key, reverse=True):
+            c = terms[k]
             factors = []
-            for i, e in enumerate(exps):
+            i = 0
+            while k:
+                e = k & MAX_EXP
                 if e == 1:
-                    factors.append(ring.names[i])
-                elif e > 1:
-                    factors.append(f"{ring.names[i]}^{e}")
+                    factors.append(names[i])
+                elif e:
+                    factors.append(f"{names[i]}^{e}")
+                k >>= SHIFT
+                i += 1
             mono = "*".join(factors)
             ac = -c if c < 0 else c
             if not mono:

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations, product as cartesian
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qlocus import alphabets
 from qlocus.alphabets import (
     Alphabet,
     VirtualAlphabet,
@@ -53,6 +55,72 @@ def test_complete_sym_self_difference_vanishes():
     assert complete_sym(0, v) == 1
     for i in range(1, 5):
         assert complete_sym(i, v).is_zero()
+
+
+def literal_series_coefficient(ring, i, pos, neg):
+    """Degree-i coefficient of prod 1/(1-a t) * prod (1-b t), multiplied
+    out literally: sum over j of (-1)^j e_j(neg) h_{i-j}(pos)."""
+    total = ring.zero
+    for j in range(min(i, len(neg)) + 1):
+        e_j = ring.zero
+        for subset in combinations(neg, j):
+            e_j = e_j + product(ring, subset)
+        h = ring.zero
+        for exps in cartesian(range(i - j + 1), repeat=len(pos)):
+            if sum(exps) == i - j:
+                h = h + product(ring, (a**x for a, x in zip(pos, exps)))
+        total = total + (e_j if j % 2 == 0 else -e_j) * h
+    return total
+
+
+def test_complete_sym_extends_the_memoized_series(monkeypatch):
+    # degrees 9, 10, 11 asked in turn: each call continues where the
+    # last stopped, so no degree is built twice
+    calls = []
+    build = alphabets._complete_series
+
+    def counting(v, upto, grown=None):
+        calls.append((0 if grown is None else len(grown[0]), upto))
+        return build(v, upto, grown)
+
+    monkeypatch.setattr(alphabets, "_complete_series", counting)
+    ring = Ring([("a", 3), ("b", 2)])
+    A = Alphabet(ring, ring.block("a"))
+    B = Alphabet(ring, ring.block("b"))
+    v = difference(A, B.dual())
+    got = {i: complete_sym(i, v) for i in (9, 10, 11, 4, 11)}
+    assert calls == [(0, 9), (10, 10), (11, 11)]
+    for i, P in got.items():
+        assert P == literal_series_coefficient(ring, i, A.roots(), B.dual().roots())
+
+
+def test_series_overflow_leaves_the_memo_whole():
+    ring = Ring([("a", 1)])
+    A = Alphabet(ring, ring.block("a"))
+    a = ring.variable(0)
+    assert complete_sym(10, A) == a**10
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            complete_sym(64, A)
+    assert complete_sym(63, A) == a**63
+
+
+@given(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.booleans(),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=4),
+)
+def test_extended_series_matches_the_literal_product(p, q, dual, m, extra):
+    ring = Ring([("a", p), ("b", q)])
+    A = Alphabet(ring, ring.block("a"), dual)
+    B = Alphabet(ring, ring.block("b"))
+    v = difference(A, B)
+    series, _ = alphabets._complete_series(v, m + extra, alphabets._complete_series(v, m))
+    assert len(series) == m + extra + 1
+    for i, P in enumerate(series):
+        assert P == literal_series_coefficient(ring, i, A.roots(), B.roots())
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=5))

@@ -26,6 +26,21 @@ polys = st.dictionaries(exps, coeffs, max_size=5).map(
 )
 nonzero_polys = polys.filter(bool)
 
+fractions = st.builds(Fraction, coeffs, st.integers(min_value=1, max_value=4))
+fraction_polys = st.dictionaries(exps, fractions, max_size=5).map(
+    lambda d: R.poly({R.pack(e): c for e, c in d.items()})
+)
+int_or_fraction_polys = polys | fraction_polys
+
+
+def recomputed_degree(P):
+    return max((R.key_degree(k) for k in P.terms), default=-1)
+
+
+def old_sort_key(e):
+    """The grevlex key on unpacked exponents: the reference order."""
+    return (sum(e), tuple(-x for x in reversed(e)))
+
 
 def test_ring_construction():
     ring = Ring([("f", 2), ("h", 1)])
@@ -79,7 +94,28 @@ def test_additive_and_multiplicative_identities(P):
 @given(nonzero_polys, nonzero_polys)
 def test_degree_of_product_adds(P, Q):
     # the coefficient ring is an integral domain, so no cancellation
-    assert (P * Q).total_degree() == P.total_degree() + Q.total_degree()
+    assert recomputed_degree(P * Q) == recomputed_degree(P) + recomputed_degree(Q)
+
+
+@given(int_or_fraction_polys, int_or_fraction_polys, fractions)
+def test_carried_degree_matches_the_terms(P, Q, c):
+    P.total_degree()  # set the operands' degrees, so negation and scaling carry them
+    Q.total_degree()
+    # (P + x1)(P - x1) = P^2 - x1^2 cancels the middle degrees
+    results = [P * Q, (P + x1) * (P - x1), P * (x2 - x3), -P, P.scale(c), P * R.zero, R.zero * Q]
+    for S in results:
+        assert S.total_degree() == recomputed_degree(S)
+
+
+def test_carried_degree_with_lower_degree_cancellation():
+    P = (x1 + 1) * (x1 - 1)  # the degree-1 terms cancel
+    assert str(P) == "x1^2 - 1"
+    assert P.total_degree() == 2
+    Q = (x1 * x2 + x3).scale(Fraction(1, 2)) * (x1 * x2 - x3).scale(2)
+    assert str(Q) == "x1^2*x2^2 - x3^2"
+    assert Q.total_degree() == recomputed_degree(Q) == 4
+    assert (-Q).total_degree() == Q.scale(Fraction(-1, 3)).total_degree() == 4
+    assert (Q * R.zero).total_degree() == -1
 
 
 @given(polys, st.integers(min_value=0, max_value=4))
@@ -106,6 +142,22 @@ def test_exact_division_with_fractions():
     P = (x1 + x2).scale(Fraction(1, 2))
     assert exact_div(P, x1 + x2) == R.const(Fraction(1, 2))
     assert exact_div(x1 * x2 * 3, x2.scale(3)) == x1
+
+
+@given(fraction_polys, fraction_polys, fractions)
+def test_coefficients_are_normalized(P, Q, c):
+    # an integral coefficient is stored as an int, and no zero is stored
+    for S in (P + Q, P - Q, P * Q, P.scale(c)):
+        for v in S.terms.values():
+            assert v != 0
+            assert type(v) is int or v.denominator != 1
+
+
+def test_denominators_clear_to_ints():
+    half = x1.scale(Fraction(1, 2))
+    for S, expected in ((half * x2.scale(2), x1 * x2), (half + half, x1), (half.scale(2), x1)):
+        assert S == expected
+        assert [type(v) for v in S.terms.values()] == [int]
 
 
 def test_integrality_tracking():
@@ -149,6 +201,34 @@ def test_rendering():
     assert str(x3 - x1) == "-x1 + x3"
     h = Ring([("h", 1)])
     assert str(h.variable(0) ** 3) == "h^3"
+    # two-digit exponents
+    assert str(x1**12 * x3**10 - x2**11 * 3 + x1**10) == "x1^12*x3^10 - 3*x2^11 + x1^10"
+    # mixed blocks
+    M = Ring([("f", 2), ("k", 1), ("h", 1)])
+    f1, f2, k, hv = (M.variable(i) for i in range(4))
+    assert str(f1 * k * hv + f2**2 * hv - k**3 + f1 * f2 * 5) == "-k^3 + f2^2*h + f1*k*h + 5*f1*f2"
+    # negative leading coefficient
+    assert str(-(x1**2) * 4 + x2 * x3 - 7) == "-4*x1^2 + x2*x3 - 7"
+    # Fraction coefficients
+    P = x1.scale(Fraction(1, 2)) - (x2 * x3).scale(Fraction(-3, 4)) + Fraction(5, 3)
+    assert str(P) == "3/4*x2*x3 + 1/2*x1 + 5/3"
+    assert str((x1 * x2).scale(Fraction(-1, 2)) + x3) == "-1/2*x1*x2 + x3"
+
+
+@given(st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(*(st.integers(min_value=0, max_value=MAX_EXP) for _ in range(n))), max_size=12),
+    )
+))
+def test_sort_key_is_grevlex(case):
+    # the packed-key orders agree with grevlex on unpacked exponents
+    n, exponents = case
+    ring = Ring([("y", n)])
+    keys = [ring.pack(e) for e in exponents]
+    expected = sorted(set(exponents), key=old_sort_key, reverse=True)
+    assert [ring.unpack(k) for k in sorted(set(keys), key=ring.sort_key, reverse=True)] == expected
+    assert [ring.unpack(k) for k in sorted(set(keys), key=ring._invkey)] == expected
 
 
 def test_leading_key_order():
