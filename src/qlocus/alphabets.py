@@ -1,7 +1,7 @@
 """Alphabets of Chern roots and their generating series.
 
-An :class:`Alphabet` is an ordered tuple of ring variables, optionally
-with all signs flipped (the roots of a dual bundle).  A
+An :class:`Alphabet` is an ordered tuple of ring variables and root
+values, optionally with all signs flipped (the roots of a dual bundle).  A
 :class:`VirtualAlphabet` is a formal difference of alphabets; only the
 complete symmetric series is defined for it.
 
@@ -22,11 +22,13 @@ from .polyring import Poly, Ring
 
 @dataclass(frozen=True, eq=False)
 class Alphabet:
-    """An ordered set of Chern-root variables, possibly negated."""
+    """An ordered set of Chern roots, possibly negated: the ring
+    ``variables``, then the numbers ``values``."""
 
     ring: Ring
     variables: tuple[int, ...]
     negated: bool = False
+    values: tuple = ()
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
@@ -34,17 +36,17 @@ class Alphabet:
 
     @property
     def size(self) -> int:
-        return len(self.variables)
+        return len(self.variables) + len(self.values)
 
     def dual(self) -> "Alphabet":
-        return Alphabet(self.ring, self.variables, not self.negated)
+        return Alphabet(self.ring, self.variables, not self.negated, self.values)
 
     def roots(self) -> list[Poly]:
-        vs = [self.ring.variable(i) for i in self.variables]
+        vs = [self.ring.variable(i) for i in self.variables] + [self.ring.const(c) for c in self.values]
         return [-v for v in vs] if self.negated else vs
 
     def sig(self) -> tuple:
-        return ("A", self.variables, self.negated)
+        return ("A", self.variables, self.negated, self.values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,8 +27,9 @@ import math
 from dataclasses import dataclass
 
 from .alphabets import Alphabet
+from .chern import tensor_sum_product
 from .partitions import Partition
-from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric, product
+from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric
 from .schur import schur_p, schur_q
 
 
@@ -188,9 +189,9 @@ def _pushforward_instance(e: int, q: int):
     the alphabets of Q and E."""
     ring = Ring([("a", e)])
     setup = GrassmannSetup(ring, tuple(range(e)), q)
-    gens = [ring.variable(i) for i in range(e)]
-    ctop_rq = product(ring, (gens[i] + gens[j] for j in range(q) for i in range(q, e)))
-    return setup, ctop_rq, Alphabet(ring, tuple(range(q))), Alphabet(ring, tuple(range(e)))
+    quotient = Alphabet(ring, tuple(range(q)))
+    ctop_rq = tensor_sum_product(Alphabet(ring, tuple(range(q, e))), quotient)
+    return setup, ctop_rq, quotient, Alphabet(ring, tuple(range(e)))
 
 
 def verify_pushforward_coefficient(I: Partition, e: int, q: int) -> PushforwardCheck:

@@ -29,7 +29,7 @@ from .chern import (
 )
 from .gysin import FlagSetup, GrassmannSetup, flag_pushforward, grassmann_pushforward
 from .partitions import Partition, complement_conjugate, rectangle_partitions, staircase
-from .polyring import Poly, Ring, apply_substitution, product
+from .polyring import Poly, Ring
 from .schur import (
     SchurPairExpansion,
     expand_schur_basis,
@@ -181,11 +181,15 @@ def class_via_mnemonic(problem: LocusProblem) -> ClassExpression:
 
 def expression_to_poly(expr: ClassExpression, ctx: ModelContext) -> Poly:
     """Evaluate on Chern roots; the result is always integral."""
+    return _evaluate(expr, ctx.F, ctx.e_minus_f())
+
+
+def _evaluate(expr: ClassExpression, F: Alphabet, emf) -> Poly:
+    """sum of c * [Q|P]_K(F) * s_L(emf) over the terms, checked integral."""
     qp = schur_q if expr.kind == "Q" else schur_p
-    emf = ctx.e_minus_f()
-    total = ctx.ring.zero
+    total = F.ring.zero
     for K, L, c in expr.terms:
-        total = total + (qp(K, ctx.F) * schur_s(L, emf)).scale(c)
+        total = total + (qp(K, F) * schur_s(L, emf)).scale(c)
     if not total.is_integral():
         raise ArithmeticError("class evaluation produced non-integer coefficients")
     return total
@@ -207,10 +211,9 @@ def class_via_pushforward(problem: LocusProblem, ctx: ModelContext) -> Poly:
     q = problem.q
     ring = ctx.ring
     fv = ring.block("f")
-    gens = [ring.variable(i) for i in fv]
     quotient = Alphabet(ring, fv[:q])
-    ctop_kq = tensor_sum_product(ctx.K, quotient) if ctx.n else ring.one
-    ctop_rq = product(ring, (gens[i] + gens[j] for j in range(q) for i in range(q, problem.f)))
+    ctop_kq = tensor_sum_product(ctx.K, quotient)
+    ctop_rq = tensor_sum_product(Alphabet(ring, fv[q:]), quotient)
     top = ctop_sym2(quotient) if problem.symmetry == "sym" else ctop_wedge2(quotient)
     setup = GrassmannSetup(ring, fv, q)
     out = grassmann_pushforward(ctop_kq * ctop_rq * top, setup)
@@ -248,24 +251,19 @@ def class_schur_pair_expansion(problem: LocusProblem) -> SchurPairExpansion:
 
 def projective_degree(e_twists, f_twists, r: int, symmetry: str) -> tuple[int, int]:
     """Codimension and degree of D_r for E = sum of O(e_i), F = sum of
-    O(f_j) over projective space: substitute root -> twist * h and read
-    the coefficient of h^codim."""
+    O(f_j) over projective space.  The class is homogeneous of degree
+    codim in the roots e_i h and f_j h, so it is deg * h^codim, and deg is
+    the closed form evaluated on the twists themselves: on two value
+    alphabets, in a ring with no variables."""
     problem = LocusProblem(len(e_twists), len(f_twists), r, symmetry)
     codim = expected_codim(problem)
-    ctx = make_model("independent", problem.e, problem.f)
-    P = expression_to_poly(class_of(problem), ctx)
-    hring = Ring([("h", 1)])
-    h = hring.variable(0)
-    mapping = {}
-    for i, v in enumerate(ctx.ring.block("f")):
-        mapping[v] = h.scale(int(f_twists[i]))
-    for i, v in enumerate(ctx.ring.block("e")):
-        mapping[v] = h.scale(int(e_twists[i]))
-    value = apply_substitution(P, mapping, hring)
-    degree = value.coefficient_of(0, codim).constant()
-    if value != hring.variable(0) ** codim * degree:
-        raise ArithmeticError("class did not evaluate to a pure power of h")
-    return codim, int(degree)
+    expr = class_of(problem)
+    if any(K.weight + L.weight != codim for K, L, _ in expr.terms):
+        raise ArithmeticError("class is not homogeneous of degree codim")
+    ring = Ring([])
+    E = Alphabet(ring, (), values=tuple(map(int, e_twists)))
+    F = Alphabet(ring, (), values=tuple(map(int, f_twists)))
+    return codim, _evaluate(expr, F, difference(E, F)).constant()
 
 
 # -- push-forward identities along the kernel flag --------------------

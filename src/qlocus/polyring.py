@@ -255,16 +255,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=self.ring.sort_key)
 
-    def coefficient_of(self, var: int, power: int) -> "Poly":
-        """Coefficient of ``var**power`` as a polynomial in the remaining
-        variables."""
-        shift = SHIFT * var
-        out = {}
-        for k, c in self.terms.items():
-            if (k >> shift) & MAX_EXP == power:
-                out[k - (power << shift)] = c
-        return Poly(self.ring, out)
-
     def total_degree_component(self, d: int) -> "Poly":
         kd = self.ring.key_degree
         return Poly(self.ring, {k: c for k, c in self.terms.items() if kd(k) == d})

@@ -114,10 +114,13 @@ def schur_q(I: Partition, a: Alphabet) -> Poly:
 
 
 def schur_p(I: Partition, a: Alphabet) -> Poly:
-    """P-polynomial: Q_I / 2^length(I), an exact division."""
-    out = schur_q(I, a).scale(Fraction(1, 2 ** I.length))
-    if not out.is_integral():
+    """P-polynomial: Q_I / 2^length(I), an exact integer division."""
+    Q = schur_q(I, a)
+    d = 2**I.length
+    if any(c % d for c in Q.terms.values()):  # a non-integer Fraction never divides
         raise ArithmeticError(f"P-polynomial {I} came out non-integral")
+    out = Poly(a.ring, {k: c // d for k, c in Q.terms.items()})
+    out._deg = Q._deg
     return out
 
 
@@ -142,6 +145,8 @@ def _straighten(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
     return a wrong answer.
     """
     ring = P.ring
+    if any(a.values for a in alphabets):
+        raise ValueError("only alphabets of variables have an S-basis expansion")
     inside = [v for a in alphabets for v in a.variables]
     if len(set(inside)) < len(inside):
         raise ValueError("alphabets overlap")

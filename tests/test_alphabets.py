@@ -13,7 +13,10 @@ from qlocus.alphabets import (
     make_model,
     q_sym,
 )
+from qlocus.chern import ctop_sym2, ctop_wedge2, pair_sum_product
+from qlocus.partitions import Partition
 from qlocus.polyring import Ring, is_symmetric, product
+from qlocus.schur import schur_q, schur_s
 
 
 def test_alphabet_basics():
@@ -25,6 +28,45 @@ def test_alphabet_basics():
     assert A.dual().dual().roots()[0] == A.roots()[0]
     with pytest.raises(ValueError):
         Alphabet(ring, (0, 0))
+
+
+def test_value_alphabet_basics():
+    ring = Ring([("x", 1)])
+    A = Alphabet(ring, (0,), values=(2, -1))
+    assert A.size == 3
+    assert [str(r) for r in A.roots()] == ["x", "2", "-1"]
+    assert [str(r) for r in A.dual().roots()] == ["-x", "-2", "1"]
+    assert A.dual().values == A.values
+
+
+@pytest.mark.parametrize("other", ["values", "dual"])
+def test_value_alphabets_never_share_a_memo_entry(other):
+    # odd degrees throughout, so the dual's values differ in sign
+    ring = Ring([])
+    A = Alphabet(ring, (), values=(1, 2, 2))
+    B = Alphabet(ring, (), values=(1, 2, 3)) if other == "values" else A.dual()
+
+    def values(X):
+        got = (complete_sym(3, X), schur_s(Partition((2, 1)), X), schur_q(Partition((3, 2)), X))
+        return [P.constant() for P in got]
+
+    on_a = values(A)
+    before = set(ring.memo)
+    on_b = values(B)
+    assert {key[0] for key in set(ring.memo) - before} == {"h", "s", "Q"}
+    fresh = Ring([])
+    assert on_b == values(Alphabet(fresh, (), B.negated, B.values))
+    assert on_b != on_a
+
+
+@pytest.mark.parametrize("values", [(), (3,), (2, -1), (1, 0, 2)])
+def test_size_counts_values(values):
+    # ctop_sym2 and ctop_wedge2 take their staircase from ``size``
+    ring = Ring([("x", 1)])
+    A = Alphabet(ring, (0,), values=values)
+    assert A.size == 1 + len(values)
+    assert ctop_sym2(A) == pair_sum_product(A, strict=False)
+    assert ctop_wedge2(A) == pair_sum_product(A, strict=True)
 
 
 def test_complete_sym_small_cases():

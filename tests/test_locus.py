@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from qlocus import locus, polyring
 from qlocus.alphabets import VirtualAlphabet, make_model
 from qlocus.locus import (
     ClassExpression,
@@ -17,7 +18,7 @@ from qlocus.locus import (
     verify_identity_sym,
 )
 from qlocus.partitions import Partition, staircase
-from qlocus.polyring import is_symmetric
+from qlocus.polyring import Ring, apply_substitution, is_symmetric
 from qlocus.schur import expand_schur_pair, schur_s
 
 
@@ -31,6 +32,34 @@ problems = st.tuples(
     and t[2] <= t[1]
     and not (t[3] == "skew" and t[0] == t[1] and t[2] % 2)
 )
+
+# every valid (e, f, r, symmetry) with e <= 5
+small_shapes = [
+    (e, f, r, sym)
+    for e in range(1, 6)
+    for f in range(1, e + 1)
+    for r in range(f + 1)
+    for sym in ("sym", "skew")
+    if not (sym == "skew" and e == f and r % 2)
+]
+
+
+def generic_degree(e_twists, f_twists, r, symmetry):
+    """Oracle for projective_degree: the generic class in the independent
+    model, each root replaced by twist * h, and the coefficient of
+    h^codim, which must be the whole value."""
+    problem = LocusProblem(len(e_twists), len(f_twists), r, symmetry)
+    codim = expected_codim(problem)
+    ctx = make_model("independent", problem.e, problem.f)
+    P = expression_to_poly(class_of(problem), ctx)
+    hring = Ring([("h", 1)])
+    h = hring.variable(0)
+    mapping = {v: h.scale(t) for v, t in zip(ctx.ring.block("f"), f_twists)}
+    mapping.update({v: h.scale(t) for v, t in zip(ctx.ring.block("e"), e_twists)})
+    value = apply_substitution(P, mapping, hring)
+    degree = value.terms.get(hring.pack((codim,)), 0)
+    assert value == h**codim * degree
+    return codim, degree
 
 
 def test_problem_validation():
@@ -187,6 +216,79 @@ def test_projective_degree_table():
     assert projective_degree((1, 1, 1, 1, 1), (1, 1, 1), 2, "skew") == (2, 16)
     assert projective_degree((1, 1, 1), (1, 1), 1, "skew") == (1, 2)
     assert projective_degree((1, 1, 1, 1), (1, 1), 1, "skew") == (2, 8)
+
+
+# the degree requests of the benchmark's query pool and of ``verify``
+QUERY_DEGREES = [
+    ((1, 1, 1, 1), (1, 1, 1), 2, "skew"),
+    ((1, 1, 1, 1, 1), (1, 1, 1), 2, "skew"),
+    ((1, 1, 1, 1, 1, 1), (1, 1, 1, 1), 2, "skew"),
+    ((1, 1, 1, 1, 1, 1), (1, 1, 1), 1, "skew"),
+    ((2, 1, 1, 1, 1), (1, 1, 1), 1, "sym"),
+    ((1, 2, 3, 1, 2), (2, 1, 1), 2, "sym"),
+    ((1, 2, 1, 2, 1, 1), (1, 1, 2, 1), 2, "sym"),
+]
+VERIFY_DEGREES = [
+    ((1, 1, 1, 1), (1, 1, 1), 2, "skew"),
+    ((1, 1, 1, 1, 1), (1, 1, 1), 2, "skew"),
+    ((1, 1, 1), (1, 1), 1, "skew"),
+    ((1, 1, 1, 1), (1, 1), 1, "skew"),
+]
+
+
+@pytest.mark.parametrize("et,ft,r,sym", QUERY_DEGREES + VERIFY_DEGREES)
+def test_projective_degree_agrees_with_the_generic_class(et, ft, r, sym):
+    assert projective_degree(et, ft, r, sym) == generic_degree(et, ft, r, sym)
+
+
+@given(st.data())
+def test_projective_degree_sweep_agrees_with_the_generic_class(data):
+    e, f, r, sym = data.draw(st.sampled_from(small_shapes))
+    twists = st.integers(min_value=-2, max_value=3)
+    et = data.draw(st.lists(twists, min_size=e, max_size=e))
+    ft = data.draw(st.lists(twists, min_size=f, max_size=f))
+    assert projective_degree(et, ft, r, sym) == generic_degree(et, ft, r, sym)
+
+
+@pytest.mark.parametrize(
+    "e,f,sym", [(3, 2, "sym"), (4, 4, "skew"), (11, 10, "sym"), (13, 12, "skew")]
+)
+@pytest.mark.parametrize("t", [-2, 0, 1, 3])
+def test_projective_degree_of_the_zero_locus(e, f, sym, t):
+    # D_0 is the zero locus of E v F (sym) or E ^ F (skew); with every
+    # twist t each of its roots is 2t h, so the degree is (2t)^codim,
+    # past the packed exponent bound of 63 in the larger cases
+    codim = expected_codim(LocusProblem(e, f, 0, sym))
+    assert projective_degree((t,) * e, (t,) * f, 0, sym) == (codim, (2 * t) ** codim)
+
+
+def test_projective_degree_past_the_generic_route():
+    assert projective_degree((1,) * 11, (1,) * 10, 0, "sym") == (65, 2**65)
+    assert projective_degree((1,) * 13, (1,) * 12, 0, "skew") == (78, 2**78)
+    assert projective_degree((1,) * 7, (1,) * 4, 1, "sym") == (15, 1376256)
+
+
+def test_projective_degree_builds_no_ring_with_variables(monkeypatch):
+    sizes = []
+    init = polyring.Ring.__init__
+
+    def recording(self, blocks):
+        init(self, blocks)
+        sizes.append(self.nvars)
+
+    monkeypatch.setattr(polyring.Ring, "__init__", recording)
+    projective_degree((1, 2, 3, 1, 2), (2, 1, 1), 2, "sym")
+    assert sizes == [0]
+
+
+def test_projective_degree_rejects_an_inhomogeneous_class(monkeypatch):
+    # the weight-1 term does not belong in a class of codimension 2
+    bad = ClassExpression.build(
+        "Q", [(Partition((2,)), Partition(()), 1), (Partition((1,)), Partition(()), 1)]
+    )
+    monkeypatch.setattr(locus, "class_of", lambda problem: bad)
+    with pytest.raises(ArithmeticError):
+        projective_degree((1, 1, 1, 1), (1, 1, 1), 2, "sym")
 
 
 def test_projective_degree_with_mixed_twists():

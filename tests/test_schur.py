@@ -7,6 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlocus import schur
 from qlocus.alphabets import Alphabet, complete_sym, difference, make_model
 from qlocus.locus import LocusProblem, class_of, class_schur_pair_expansion, expression_to_poly
 from qlocus.partitions import Partition, rectangle, staircase, strict_partitions_bounded, subpartitions
@@ -288,6 +289,35 @@ def test_schur_p_is_integral_and_symmetric(data):
     assert P.is_integral()
     assert is_symmetric(P, ring.block("x"))
     assert schur_q(I, A) == P.scale(2**I.length)
+
+
+@pytest.mark.parametrize(
+    "length,coeffs,halved",
+    [(1, (4, 2), (2, 1)), (2, (4, 8), (1, 2)), (2, (4, 2), None), (1, (Fraction(1, 2), 2), None)],
+)
+def test_schur_p_divides_exactly_or_raises(monkeypatch, length, coeffs, halved):
+    ring = Ring([("x", 2)])
+    A = Alphabet(ring, ring.block("x"))
+    x1, x2 = ring.variable(0), ring.variable(1)
+    monkeypatch.setattr(schur, "schur_q", lambda I, a: x1.scale(coeffs[0]) + x2.scale(coeffs[1]))
+    I = Partition(tuple(range(length, 0, -1)))
+    if halved is None:
+        with pytest.raises(ArithmeticError):
+            schur_p(I, A)
+    else:
+        P = schur_p(I, A)
+        assert P == x1.scale(halved[0]) + x2.scale(halved[1])
+        assert all(type(c) is int for c in P.terms.values())
+
+
+def test_expansion_rejects_a_value_alphabet():
+    ring = Ring([("x", 2)])
+    A = Alphabet(ring, ring.block("x"))
+    with pytest.raises(ValueError):
+        expand_schur_basis(ring.one, Alphabet(ring, (), values=(1, 2)))
+    with pytest.raises(ValueError):
+        expand_schur_pair(ring.variable(0), Alphabet(ring, (0,)), Alphabet(ring, (1,), values=(2,)))
+    assert expand_schur_basis(schur_s(Partition((1,)), A), A) == {Partition((1,)): 1}
 
 
 def test_staircase_q_is_a_product_of_root_sums():
