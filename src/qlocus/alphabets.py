@@ -56,6 +56,13 @@ class VirtualAlphabet:
     pos: tuple[Alphabet, ...]
     neg: tuple[Alphabet, ...] = ()
 
+    def __post_init__(self):
+        alphabets = self.pos + self.neg
+        if not alphabets:
+            raise ValueError("a virtual alphabet needs at least one alphabet")
+        if any(a.ring is not alphabets[0].ring for a in alphabets):
+            raise ValueError("the alphabets of a virtual alphabet must share one ring")
+
     @property
     def ring(self) -> Ring:
         return (self.pos + self.neg)[0].ring
@@ -108,20 +115,26 @@ def _complete_series(v: VirtualAlphabet, upto: int, grown=None) -> tuple[list[Po
     return series, column
 
 
+def complete_series(v, upto: int) -> list[Poly]:
+    """s_0, s_1, ... of an alphabet or virtual alphabet, at least through
+    s_upto: the memoized series, extended when it is too short."""
+    v = _as_virtual(v)
+    ring = v.ring
+    key = ("h", v.sig())
+    grown = ring.memo.get(key)
+    if grown is None or len(grown[0]) <= upto:
+        grown = _complete_series(v, max(upto, 8), grown)
+        ring.memo[key] = grown
+    return grown[0]
+
+
 def complete_sym(i: int, v) -> Poly:
     """s_i of an alphabet or virtual alphabet: the degree-i coefficient of
     the product of geometric series of the positive roots times the
     linear factors of the negative roots."""
-    v = _as_virtual(v)
-    ring = v.ring
     if i < 0:
-        return ring.zero
-    key = ("h", v.sig())
-    grown = ring.memo.get(key)
-    if grown is None or len(grown[0]) <= i:
-        grown = _complete_series(v, max(i, 8), grown)
-        ring.memo[key] = grown
-    return grown[0][i]
+        return _as_virtual(v).ring.zero
+    return complete_series(v, i)[i]
 
 
 def q_sym(i: int, a: Alphabet) -> Poly:

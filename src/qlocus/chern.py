@@ -1,9 +1,11 @@
 """Top Chern classes of tensor-type constructions, in closed form.
 
 Each class has a closed-form expression in Schur S/Q/P polynomials, a
-skew-Schur form evaluated as one Jacobi-Trudi determinant (see
-:func:`skew_schur_sum`), and a literal product-of-linear-forms oracle over
-the Chern roots; agreement of the three is the main correctness check.
+skew-Schur form evaluated as the single S-polynomial s_T(F - (E - F)^∨)
+(see :func:`skew_schur_sum`; in the surjection model the hook
+factorization makes it a product of root sums times a staircase
+S-polynomial of F), and a literal product-of-linear-forms oracle over the
+Chern roots; agreement of the three is the main correctness check.
 
 For a subbundle F of E (presented by a surjection model with kernel K),
 ``E v F`` denotes the rank f(f+1)/2 + fn bundle of "symmetrized pairs"
@@ -48,12 +50,17 @@ def staircase_schur_sum(kind: str, stair: int, rows: int, cols: int, a: Alphabet
 
 def skew_schur_sum(T: Partition, a: Alphabet, d) -> Poly:
     """sum over J ⊂ T of s_{T/J}(a) * s_{J̃}(d), evaluated as the single
-    determinant s_T(a - d^∨).
+    S-polynomial s_T(a - d^∨).
 
     By the coproduct s_T(A + B) = sum over J of s_{T/J}(A) s_J(B), and
     s_J(-D^∨) = s_{J̃}(D) (Macdonald, *Symmetric Functions and Hall
     Polynomials*, I.3 and I.5).  ``d`` may be an alphabet or a virtual
     one; its dual flips every sign, so a - (P - N)^∨ = (a + N^∨) - P^∨.
+    Writing a - d^∨ as X - Y, :func:`~qlocus.schur.schur_skew` factors
+    s_T when T_{|X|} >= |Y|, as for the surjection-model shapes of
+    :func:`ctop_vee_skew` and :func:`ctop_wedge_skew`; otherwise (the
+    independent model, the flag identities) it is one Jacobi-Trudi
+    determinant.
     """
     return schur_s(T, difference(a, d.dual()))
 
@@ -87,14 +94,21 @@ def ctop_wedge(ctx: ModelContext) -> Poly:
 
 def ctop_vee_skew(ctx: ModelContext) -> Poly:
     """Skew-Schur form of c_top(E v F):
-    2^f * sum over J ⊂ T of s_{T/J}(F) s_{J̃}(E - F), T = (e, ..., n+1)."""
+    2^f * sum over J ⊂ T of s_{T/J}(F) s_{J̃}(E - F), T = (e, ..., n+1).
+
+    In the surjection model this is s_T(F - K^∨), and since T_f = n + 1
+    >= n the hook factorization makes it prod (f_i + k_j) * s_{rho_f}(F):
+    no determinant over the difference is built."""
     T = Partition(tuple(range(ctx.e, ctx.n, -1)))
     return skew_schur_sum(T, ctx.F, ctx.e_minus_f()).scale(2**ctx.f)
 
 
 def ctop_wedge_skew(ctx: ModelContext) -> Poly:
     """Skew-Schur form of c_top(E ^ F):
-    sum over J ⊂ T of s_{T/J}(F) s_{J̃}(E - F), T = (e-1, ..., n)."""
+    sum over J ⊂ T of s_{T/J}(F) s_{J̃}(E - F), T = (e-1, ..., n).
+
+    In the surjection model this is s_T(F - K^∨) = prod (f_i + k_j) *
+    s_{rho_{f-1}}(F) by the hook factorization, since T_f = n."""
     T = Partition(tuple(range(ctx.e - 1, ctx.n - 1, -1)))
     return skew_schur_sum(T, ctx.F, ctx.e_minus_f())
 

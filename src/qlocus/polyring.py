@@ -79,7 +79,7 @@ class Ring:
         self.zero = Poly(self, {})
         self.one = Poly(self, {0: 1})
         self._vcache = [Poly(self, {1 << (SHIFT * i): 1}) for i in range(pos)]
-        self.memo: dict = {}  # alphabets/schur memo: "h" series, "s" Jacobi-Trudi, "Q" recurrence
+        self.memo: dict = {}  # alphabets/schur memo: "h" series, "s" S-polynomials, "Q" recurrence
 
     def block(self, name: str) -> tuple[int, ...]:
         return self.blocks[name]

@@ -1,10 +1,16 @@
 """Schur S-, Q- and P-polynomials of alphabets, and expansions into them.
 
-S-polynomials of (virtual) alphabets, skew or not, are Jacobi-Trudi
-determinants in the complete symmetric functions, all built by
+S-polynomials of (virtual) alphabets, skew or not, are all built by
 :func:`schur_skew` (``schur_s`` is the skew shape over the empty
-partition).  Q-polynomials are built from the one-row series, the
-complete series of A - A^∨, by the classical Pfaffian-style recurrences:
+partition).  A straight shape on a difference P - N is read off the
+factorization of hook Schur functions, a product of root differences
+times two smaller S-polynomials, whenever the shape allows it; every
+other S-polynomial is a Jacobi-Trudi determinant (:func:`jacobi_trudi`)
+in the complete symmetric functions of the alphabet V, or, for a shape
+with fewer columns than rows, of -V^∨ on the conjugate shape.
+
+Q-polynomials are built from the one-row series, the complete series of
+A - A^∨, by the classical Pfaffian-style recurrences:
 
 * two rows, i > j:  Q_(i,j) = Q_i Q_j + 2 * sum_{p=1..j} (-1)^p Q_{i+p} Q_{j-p}
 * odd length:       expansion with signs over (i_p, rest)
@@ -19,9 +25,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .alphabets import Alphabet, VirtualAlphabet, _as_virtual, complete_sym, q_sym
+from .alphabets import Alphabet, VirtualAlphabet, _as_virtual, complete_series, q_sym
 from .partitions import Partition, subpartitions
-from .polyring import MAX_EXP, SHIFT, Poly, Ring, _norm, is_symmetric
+from .polyring import MAX_EXP, SHIFT, Poly, Ring, _norm, is_symmetric, product
 
 
 def determinant(ring: Ring, rows: list[list[Poly]]) -> Poly:
@@ -54,12 +60,21 @@ def determinant(ring: Ring, rows: list[list[Poly]]) -> Poly:
 
 
 def schur_s(I: Partition, v) -> Poly:
-    """Jacobi-Trudi: det [ s_{i_p - p + q} ]_{1<=p,q<=length}."""
+    """S-polynomial s_I of an alphabet or virtual alphabet: the skew shape
+    I over the empty partition."""
     return schur_skew(I, Partition(), v)
 
 
 def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
-    """Skew S-polynomial det [ s_{lam_p - mu_q - p + q} ]; requires mu ⊂ lam."""
+    """Skew S-polynomial s_{lam/mu}(v), memoized; requires mu ⊂ lam.
+
+    A straight shape on P - N first tries the hook factorization
+    (:func:`_hook_factor`).  Otherwise the value is a Jacobi-Trudi
+    determinant (:func:`jacobi_trudi`), built on the side with fewer
+    rows: s_{lam/mu}(V) = s_{lam'/mu'}(-V^∨), the dual Jacobi-Trudi
+    identity, since the complete series of -V^∨ is the elementary series
+    of V (Macdonald, *Symmetric Functions and Hall Polynomials*, I.5).
+    """
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
     v = _as_virtual(v)
@@ -67,14 +82,63 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
     key = ("s", v.sig(), lam.parts, mu.parts)
     got = ring.memo.get(key)
     if got is None:
-        k = lam.length
-        rows = [
-            [complete_sym(lam.part(p) - mu.part(q) - p + q, v) for q in range(1, k + 1)]
-            for p in range(1, k + 1)
-        ]
-        got = determinant(ring, rows)
+        got = None if mu.parts else _hook_factor(lam, v)
+        if got is None:
+            if lam.part(1) < lam.length:
+                d = v.dual()  # -V^∨ swaps the sides of V^∨
+                got = jacobi_trudi(lam.conjugate(), mu.conjugate(), VirtualAlphabet(d.neg, d.pos))
+            else:
+                got = jacobi_trudi(lam, mu, v)
         ring.memo[key] = got
     return got
+
+
+def jacobi_trudi(lam: Partition, mu: Partition, v) -> Poly:
+    """det [ s_{lam_p - mu_q - p + q}(v) ], built as it stands: no memo, no
+    factorization, no change of side.  :func:`schur_skew` calls it where
+    the factorization does not apply; tests and ``verify`` call it
+    directly as the oracle of the factorization."""
+    v = _as_virtual(v)
+    ring = v.ring
+    k = lam.length
+    if k == 0:
+        return ring.one
+    h = complete_series(v, lam.part(1) - mu.part(k) + k - 1)
+    zero = ring.zero
+    rows = [
+        [h[j] if j >= 0 else zero for j in (lam.part(p) - mu.part(q) - p + q for q in range(1, k + 1))]
+        for p in range(1, k + 1)
+    ]
+    return determinant(ring, rows)
+
+
+def _hook_factor(lam: Partition, v: VirtualAlphabet) -> Poly | None:
+    """s_lam(P - N) by the factorization of hook Schur functions
+    (Berele-Regev, *Adv. Math.* 64, 1987; Macdonald I.3 ex. 23), with
+    a = |P| and b = |N|:
+
+    * lam_{a+1} > b: the shape leaves the (a, b)-hook and s_lam is 0;
+    * lam_a >= b, a, b > 0: s_lam = prod (x - y over x in P, y in N)
+      * s_alpha(P) * s_beta(-N), with alpha = (lam_1 - b, ..., lam_a - b)
+      and beta = (lam_{a+1}, lam_{a+2}, ...).
+
+    Returns None where neither applies (lam_a < b, or a one-sided
+    alphabet inside the hook), which leaves the determinant.
+    """
+    a = sum(x.size for x in v.pos)
+    b = sum(x.size for x in v.neg)
+    if lam.part(a + 1) > b:
+        return v.ring.zero
+    if not (a and b) or lam.part(a) < b:
+        return None
+    P = VirtualAlphabet(v.pos)
+    minus_N = VirtualAlphabet((), v.neg)
+    resultant = product(
+        v.ring, (x - y for xs in v.pos for x in xs.roots() for ys in v.neg for y in ys.roots())
+    )
+    alpha = Partition(tuple(p - b for p in lam.parts[:a]))
+    beta = Partition(lam.parts[a:])
+    return resultant * schur_s(alpha, P) * schur_s(beta, minus_N)
 
 
 def schur_q(I: Partition, a: Alphabet) -> Poly:

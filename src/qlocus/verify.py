@@ -42,7 +42,7 @@ from .locus import (
 )
 from .partitions import Partition, rectangle, staircase, strict_partitions_bounded
 from .polyring import Ring, product
-from .schur import expand_schur_pair, schur_p, schur_q, schur_s
+from .schur import expand_schur_pair, jacobi_trudi, schur_p, schur_q, schur_s
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,14 @@ class CaseResult:
 
 def suite_schur(max_n: int = 4) -> list[CaseResult]:
     out = []
-    # resultant: s_{(m)^n}(A - B) = prod (a_i - b_j)
+    # resultant: s_{(m)^n}(A - B) = prod (a_i - b_j), on the Jacobi-Trudi
+    # determinant itself (schur_s would read it off the hook factorization)
     for n in range(1, max_n):
         for m in range(1, max_n):
             ring = Ring([("a", n), ("b", m)])
             A = Alphabet(ring, ring.block("a"))
             B = Alphabet(ring, ring.block("b"))
-            lhs = schur_s(rectangle(n, m), difference(A, B))
+            lhs = jacobi_trudi(rectangle(n, m), Partition(), difference(A, B))
             rhs = product(ring, (x - y for x in A.roots() for y in B.roots()))
             out.append(CaseResult("schur.resultant", f"n={n} m={m}", lhs == rhs))
     # Q/P staircase products
@@ -76,13 +77,14 @@ def suite_schur(max_n: int = 4) -> list[CaseResult]:
         pp = pair_sum_product(A, strict=True)
         ok = schur_p(staircase(n - 1), A) == pp and pp == schur_s(staircase(n - 1), A)
         out.append(CaseResult("schur.p-staircase", f"n={n}", ok))
-    # rectangle factorization: s_{(m)^n + I}(A - B) = s_{(m)^n}(A - B) s_I(A)
+    # rectangle factorization: s_{(m)^n + I}(A - B) = s_{(m)^n}(A - B) s_I(A),
+    # again on the determinant
     for n, m, I in [(2, 2, Partition((2, 1))), (3, 1, Partition((2, 2))), (2, 3, Partition((3,)))]:
         ring = Ring([("a", n), ("b", m)])
         A = Alphabet(ring, ring.block("a"))
         d = difference(A, Alphabet(ring, ring.block("b")))
-        lhs = schur_s(rectangle(n, m).add(I), d)
-        rhs = schur_s(rectangle(n, m), d) * schur_s(I, A)
+        lhs = jacobi_trudi(rectangle(n, m).add(I), Partition(), d)
+        rhs = jacobi_trudi(rectangle(n, m), Partition(), d) * schur_s(I, A)
         out.append(CaseResult("schur.rect-factor", f"n={n} m={m} I={I}", lhs == rhs))
     # staircase factorization on a rank-k alphabet:
     # Q_{rho_k + I}(A) = Q_{rho_k}(A) s_I(A) for l(I) <= k (the Q-version

@@ -230,6 +230,23 @@ def test_q_sym_rejects_virtual_input():
         q_sym(2, difference(A, B))
 
 
+def test_virtual_alphabet_needs_an_alphabet():
+    with pytest.raises(ValueError, match="at least one alphabet"):
+        VirtualAlphabet((), ())
+
+
+def test_virtual_alphabet_rejects_alphabets_of_two_rings():
+    # the series would multiply roots of one ring by roots of the other
+    # and come out wrong; complete_sym(2, A - B) read 0 here
+    A = Alphabet(Ring([("a", 1)]), (0,))
+    B = Alphabet(Ring([("b", 1)]), (0,))
+    for pos, neg in [((A,), (B,)), ((A, B), ()), ((), (A, B))]:
+        with pytest.raises(ValueError, match="share one ring"):
+            VirtualAlphabet(pos, neg)
+    with pytest.raises(ValueError, match="share one ring"):
+        difference(A, B)
+
+
 def test_model_context_surjection():
     ctx = make_model("surjection", 5, 3)
     assert ctx.n == 2

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from qlocus import schur
 from qlocus.alphabets import Alphabet, difference, make_model
 from qlocus.chern import (
     ctop_product_oracle,
@@ -18,15 +19,15 @@ from qlocus.chern import (
 from qlocus.locus import _flag_model
 from qlocus.partitions import Partition, subpartitions
 from qlocus.polyring import Ring, product
-from qlocus.schur import schur_s, schur_skew
+from qlocus.schur import jacobi_trudi
 
 
 def literal_skew_schur_sum(T, a, d):
     """Reference for skew_schur_sum: the sum over J ⊂ T of
-    s_{T/J}(a) * s_{J̃}(d), one skew determinant per J."""
+    s_{T/J}(a) * s_{J̃}(d), two Jacobi-Trudi determinants per J."""
     total = a.ring.zero
     for J in subpartitions(T):
-        total = total + schur_skew(T, J, a) * schur_s(J.conjugate(), d)
+        total = total + jacobi_trudi(T, J, a) * jacobi_trudi(J.conjugate(), Partition(), d)
     return total
 
 
@@ -119,6 +120,24 @@ def test_product_oracle_rejects_unknown_kind():
     ctx = make_model("surjection", 3, 2)
     with pytest.raises(ValueError):
         ctop_product_oracle(ctx, "cup")
+
+
+@pytest.mark.parametrize("kind,skewform", [("vee", ctop_vee_skew), ("wedge", ctop_wedge_skew)])
+def test_skew_route_builds_no_determinant_over_the_virtual_alphabet(monkeypatch, kind, skewform):
+    # at (7,4) s_T(F - K^∨) factors as prod (f_i + k_j) * s_{rho}(F): the
+    # only determinants left are on F itself
+    built = []
+    build = schur.jacobi_trudi
+
+    def recording(lam, mu, v):
+        if lam.length:  # the empty shape is 1 without a determinant
+            built.append(v)
+        return build(lam, mu, v)
+
+    monkeypatch.setattr(schur, "jacobi_trudi", recording)
+    ctx = make_model("surjection", 7, 4)
+    assert skewform(ctx) == ctop_product_oracle(ctx, kind)
+    assert built and all(v.pos == (ctx.F,) and not v.neg for v in built)
 
 
 def _assert_skew_route_is_the_literal_sum(ctx, f, n):

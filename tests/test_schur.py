@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlocus import schur
-from qlocus.alphabets import Alphabet, complete_sym, difference, make_model
+from qlocus.alphabets import Alphabet, VirtualAlphabet, complete_sym, difference, make_model
 from qlocus.locus import LocusProblem, class_of, class_schur_pair_expansion, expression_to_poly
 from qlocus.partitions import Partition, rectangle, staircase, strict_partitions_bounded, subpartitions
 from qlocus.polyring import (
@@ -25,6 +25,7 @@ from qlocus.schur import (
     determinant,
     expand_schur_basis,
     expand_schur_pair,
+    jacobi_trudi,
     schur_difference_split,
     schur_p,
     schur_q,
@@ -184,7 +185,7 @@ def test_resultant_factorization():
                 for j in range(m)
             ],
         )
-        assert schur_s(rectangle(n, m), difference(A, B)) == expected
+        assert jacobi_trudi(rectangle(n, m), Partition(), difference(A, B)) == expected
 
 
 @given(st.integers(min_value=1, max_value=3), st.data())
@@ -378,7 +379,87 @@ def test_rectangle_plus_partition_factors_on_difference():
     R = rectangle(2, 2)
     for parts in [(1,), (2, 1), (2, 2)]:
         I = Partition(parts)
-        assert schur_s(R.add(I), v) == schur_s(R, v) * schur_s(I, A), parts
+        lhs = jacobi_trudi(R.add(I), Partition(), v)
+        assert lhs == jacobi_trudi(R, Partition(), v) * schur_s(I, A), parts
+
+
+# ------------------------------------------------- hook factorization and side
+
+
+@st.composite
+def _hook_problems(draw):
+    """(lam, P - N) with a = |P| and b = |N| at most 3, not both 0.  Each
+    side is split over up to two alphabets, each of variables or of
+    values, plain or dual; lam lies on the (a, b)-hook's boundary
+    (lam_a = b), just past it (lam_{a+1} > b, where s_lam vanishes) or
+    anywhere up to a + 2 rows of b + 2."""
+    a = draw(st.integers(0, 3))
+    b = draw(st.integers(0 if a else 1, 3))
+    sides = []
+    for total in (a, b):
+        sizes = [total]
+        if total >= 2 and draw(st.booleans()):
+            first = draw(st.integers(1, total - 1))
+            sizes = [first, total - first]
+        sides.append([(size, draw(st.booleans()), draw(st.booleans())) for size in sizes if size])
+    nvars = sum(size for side in sides for size, as_values, _ in side if not as_values)
+    ring = Ring([("x", nvars)])
+    free = iter(range(nvars))
+    alphabets = []
+    for side in sides:
+        alphabets.append([])
+        for size, as_values, negated in side:
+            if as_values:
+                values = tuple(draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size)))
+                alphabets[-1].append(Alphabet(ring, (), negated, values))
+            else:
+                alphabets[-1].append(Alphabet(ring, tuple(next(free) for _ in range(size)), negated))
+    kind = draw(st.sampled_from(["boundary", "vanishing", "free"] if a else ["vanishing", "free"]))
+    if kind == "boundary":
+        head = [b + x for x in draw(st.lists(st.integers(0, 2), min_size=a - 1, max_size=a - 1))] + [b]
+        tail = draw(st.lists(st.integers(0, b), max_size=2))
+    elif kind == "vanishing":
+        head = [b + 1 + x for x in draw(st.lists(st.integers(0, 1), min_size=a + 1, max_size=a + 1))]
+        tail = []
+    else:
+        head, tail = draw(st.lists(st.integers(0, b + 2), max_size=a + 2)), []
+    lam = Partition(sorted(head, reverse=True) + sorted(tail, reverse=True))
+    return lam, VirtualAlphabet(tuple(alphabets[0]), tuple(alphabets[1]))
+
+
+@given(_hook_problems())
+def test_hook_factorization_matches_the_determinant(problem):
+    lam, v = problem
+    assert schur_s(lam, v) == jacobi_trudi(lam, Partition(), v)
+
+
+@given(st.data())
+def test_schur_skew_matches_the_determinant_on_either_side(data):
+    # tall shapes are built on the conjugate side, wide ones as they stand
+    lam = data.draw(st.sampled_from(subpartitions(rectangle(4, 2)) + subpartitions(rectangle(2, 4))))
+    mu = data.draw(st.sampled_from(subpartitions(lam)))
+    ring = Ring([("a", 2), ("b", 2)])
+    A = Alphabet(ring, ring.block("a"), data.draw(st.booleans()))
+    B = Alphabet(ring, ring.block("b"), data.draw(st.booleans()))
+    C = Alphabet(ring, (), data.draw(st.booleans()), (2, -1))
+    v = data.draw(st.sampled_from([A, difference(A, B), difference(C, A), VirtualAlphabet((), (B,))]))
+    assert schur_skew(lam, mu, v) == jacobi_trudi(lam, mu, v)
+
+
+def test_jacobi_trudi_reads_the_series_once(monkeypatch):
+    calls = []
+    series = schur.complete_series
+
+    def counting(v, upto):
+        calls.append(upto)
+        return series(v, upto)
+
+    monkeypatch.setattr(schur, "complete_series", counting)
+    ring = Ring([("x", 3)])
+    A = Alphabet(ring, ring.block("x"))
+    lam, mu = Partition((3, 2, 2)), Partition((1,))
+    jacobi_trudi(lam, mu, A)
+    assert calls == [lam.part(1) + lam.length - 1]
 
 
 # ---------------------------------------------------------------- expansions
@@ -528,7 +609,7 @@ def test_difference_split_reassembles():
         total = ring.zero
         for mu, piece in schur_difference_split(L, B, max_a_length=2):
             total = total + schur_s(mu, A) * piece
-        assert total == schur_s(L, difference(A, B)), parts
+        assert total == jacobi_trudi(L, Partition(), difference(A, B)), parts
 
 
 def test_difference_split_respects_length_cutoff():
