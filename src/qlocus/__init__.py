@@ -21,8 +21,7 @@ from .locus import (
     expected_codim,
     expression_to_poly,
     projective_degree,
-    verify_identity_skew,
-    verify_identity_sym,
+    verify_identity,
 )
 from .partitions import Partition, staircase
 from .polyring import Poly, Ring

@@ -23,11 +23,18 @@ from .schur import schur_p, schur_q, schur_s
 
 def ctop_tensor(a: Alphabet, b: Alphabet) -> Poly:
     """c_top(A ⊗ B) = sum over I in the e x f box of s_I(A) s_{CĨ}(B)."""
-    e, f = a.size, b.size
     total = a.ring.zero
-    for I in rectangle_partitions(e, f):
-        total = total + schur_s(I, a) * schur_s(complement_conjugate(I, f, e), b)
+    for I, J in staircase_terms(0, a.size, b.size):
+        total = total + schur_s(I, a) * schur_s(J, b)
     return total
+
+
+def staircase_terms(stair: int, rows: int, cols: int):
+    """The pairs (rho_stair + I, CĨ) over I in the rows x cols box, where
+    CĨ is the complement of the conjugate inside the transposed box."""
+    rho = staircase(stair)
+    for I in rectangle_partitions(rows, cols):
+        yield rho.add(I), complement_conjugate(I, cols, rows)
 
 
 def staircase_schur_sum(kind: str, stair: int, rows: int, cols: int, a: Alphabet, d) -> Poly:
@@ -36,15 +43,14 @@ def staircase_schur_sum(kind: str, stair: int, rows: int, cols: int, a: Alphabet
         sum over I in the rows x cols box of
             [Q or P]_{rho_stair + I}(a) * s_{CĨ}(d)
 
-    where CĨ is the complement of the conjugate inside the transposed
-    box.  All closed-form classes here (E v F, E ^ F, the degeneracy
-    classes and their push-forward identities) are instances.
+    over the pairs of :func:`staircase_terms`.  All closed-form classes
+    here (E v F, E ^ F, the degeneracy classes and their push-forward
+    identities) are instances.
     """
     qp = schur_q if kind == "Q" else schur_p
-    rho = staircase(stair)
     total = a.ring.zero
-    for I in rectangle_partitions(rows, cols):
-        total = total + qp(rho.add(I), a) * schur_s(complement_conjugate(I, cols, rows), d)
+    for K, L in staircase_terms(stair, rows, cols):
+        total = total + qp(K, a) * schur_s(L, d)
     return total
 
 

@@ -8,7 +8,8 @@ Subcommands:
   their three computation routes;
 * ``degree`` — codimension and projective degree for split twisted
   bundles over projective space;
-* ``expand`` — the Schur-pair table of a class over independent E, F;
+* ``expand`` — the Schur-pair table of a class over independent E, F,
+  the same as ``class --format schur-pair``;
 * ``verify`` — run the brute-force identity suites.
 
 All output is deterministic; identical invocations print identical
@@ -49,6 +50,12 @@ def _twists(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+def _bound(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qlocus")
     sub = top.add_subparsers(dest="command", required=True)
@@ -82,14 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="Schur-pair table over independent E, F")
     ranks(p)
+    p.set_defaults(format="schur-pair")
 
     p = sub.add_parser("verify", help="run brute-force identity suites")
     p.add_argument("--suite", choices=("all", *SUITES), default="all")
-    p.add_argument("--max-e", type=int)
-    p.add_argument("--max-f", type=int)
-    p.add_argument("--max-n", type=int)
-    p.add_argument("--max-p", type=int)
-    p.add_argument("--max-weight", type=int)
+    for bound in ("--max-e", "--max-f", "--max-n", "--max-p", "--max-weight"):
+        p.add_argument(bound, type=_bound)
     return top
 
 
@@ -143,12 +148,6 @@ def cmd_degree(args) -> int:
     return 0
 
 
-def cmd_expand(args) -> int:
-    problem = LocusProblem(args.e, args.f, args.r, args.symmetry)
-    print(class_schur_pair_expansion(problem).render())
-    return 0
-
-
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(
@@ -173,7 +172,7 @@ def main(argv=None) -> int:
         "class": cmd_class,
         "chern": cmd_chern,
         "degree": cmd_degree,
-        "expand": cmd_expand,
+        "expand": cmd_class,
         "verify": cmd_verify,
     }
     try:

@@ -25,10 +25,11 @@ from .chern import (
     ctop_wedge2,
     skew_schur_sum,
     staircase_schur_sum,
+    staircase_terms,
     tensor_sum_product,
 )
 from .gysin import FlagSetup, GrassmannSetup, flag_pushforward, grassmann_pushforward
-from .partitions import Partition, complement_conjugate, rectangle_partitions, staircase
+from .partitions import Partition, rectangle_partitions, staircase
 from .polyring import Poly, Ring
 from .schur import (
     SchurPairExpansion,
@@ -147,12 +148,7 @@ def class_of(problem: LocusProblem) -> ClassExpression:
         kind, stair, cols = "P", q - 1, n
     else:
         kind, stair, cols = "P", q, n - 1
-    rho = staircase(stair)
-    terms = [
-        (rho.add(I), complement_conjugate(I, cols, q), 1)
-        for I in rectangle_partitions(q, cols)
-    ]
-    return ClassExpression.build(kind, terms)
+    return ClassExpression.build(kind, [(K, L, 1) for K, L in staircase_terms(stair, q, cols)])
 
 
 def class_via_mnemonic(problem: LocusProblem) -> ClassExpression:
@@ -255,6 +251,9 @@ def projective_degree(e_twists, f_twists, r: int, symmetry: str) -> tuple[int, i
     codim in the roots e_i h and f_j h, so it is deg * h^codim, and deg is
     the closed form evaluated on the twists themselves: on two value
     alphabets, in a ring with no variables."""
+    for t in (*e_twists, *f_twists):
+        if t != int(t):
+            raise ValueError(f"twists must be integers, got {t!r}")
     problem = LocusProblem(len(e_twists), len(f_twists), r, symmetry)
     codim = expected_codim(problem)
     expr = class_of(problem)
@@ -293,59 +292,61 @@ class IdentityCheck:
 
 
 def _flag_model(f: int, p: int, n: int):
+    """The surjection model of ranks (f + n, f), the flag setup, S* and
+    R* - S*."""
     ctx = make_model("surjection", f + n, f)
     fs = FlagSetup(ctx.ring.block("f"), ctx.ring.block("k"), p)
     s_dual = Alphabet(ctx.ring, fs.s_vars(), negated=True)
     r_dual = Alphabet(ctx.ring, fs.s_vars() + fs.k_vars, negated=True)
-    rs_diff = difference(r_dual, s_dual)
-    e_dual = ctx.E.dual()
-    f_dual = ctx.F.dual()
-    ef_diff = difference(e_dual, f_dual)
-    return ctx, fs, s_dual, rs_diff, f_dual, ef_diff
+    return ctx, fs, s_dual, difference(r_dual, s_dual)
 
 
-def verify_identity_sym(f: int, p: int, n: int, cross_check: bool = False) -> IdentityCheck:
+def _identity_integrand(kind: str, f: int, p: int, n: int, s_dual: Alphabet, rs_diff):
+    """(s_rho(S*), the staircase-sum integrand) of :func:`verify_identity`:
+    rho = rho_{p-1} and 2^{-p} times the Q-staircase sum for "sym",
+    rho = rho_p and the P-staircase sum for "skew"."""
+    skew = kind == "skew"
+    mult = schur_s(staircase(p - 1 + skew), s_dual)
+    stair = staircase_schur_sum("P" if skew else "Q", f - p - skew, f - p, n, s_dual, rs_diff)
+    integrand = stair * mult
+    return mult, integrand if skew else integrand.scale(Fraction(1, 2**p))
+
+
+def verify_identity(kind: str, f: int, p: int, n: int, cross_check: bool = False) -> IdentityCheck:
     """Push two equal integrands down Fl_{f-p, e-p}(F, E) and compare
-    with the closed staircase sum in F* and E* - F*:
+    with the closed staircase sum in F* and E* - F*.  For kind "sym":
 
       2^{-p}  * [Q-staircase sum over the (f-p) x n box on S*, R*-S*] * s_{rho_{p-1}}(S*)
       2^{f-2p} * [skew sum over T = (e-p, ..., n+1) on S*, R*-S*]    * s_{rho_{p-1}}(S*)
-      == [Q-staircase sum over the (f-2p) x n box on F*, E*-F*].
-    """
-    e = f + n
-    ctx, fs, s_dual, rs_diff, f_dual, ef_diff = _flag_model(f, p, n)
-    mult = schur_s(staircase(p - 1), s_dual)
-    member1 = staircase_schur_sum("Q", f - p, f - p, n, s_dual, rs_diff) * mult
-    member1 = member1.scale(Fraction(1, 2**p))
-    T = Partition(tuple(range(e - p, n, -1)))
-    member2 = (skew_schur_sum(T, s_dual, rs_diff) * mult).scale(2 ** (f - 2 * p))
-    lhs = flag_pushforward(member1, fs, ctx.ring)
-    middle = flag_pushforward(member2, fs, ctx.ring)
-    rhs = staircase_schur_sum("Q", f - 2 * p, f - 2 * p, n, f_dual, ef_diff)
-    via = _identity_via_product("sym", f, p, n, ctx) if cross_check else None
-    return IdentityCheck("sym", f, p, n, lhs, middle, rhs, via)
+      == [Q-staircase sum over the (f-2p) x n box on F*, E*-F*],
 
-
-def verify_identity_skew(f: int, p: int, n: int, cross_check: bool = False) -> IdentityCheck:
-    """Skew analogue of :func:`verify_identity_sym`:
+    with staircases rho_{f-p} and rho_{f-2p}.  For kind "skew", with no
+    powers of 2:
 
       [P-staircase sum over the (f-p) x n box on S*, R*-S*] * s_{rho_p}(S*)
       [skew sum over T = (e-p-1, ..., n) on S*, R*-S*]      * s_{rho_p}(S*)
-      == [P-staircase sum over the (f-2p) x n box on F*, E*-F*]
+      == [P-staircase sum over the (f-2p) x n box on F*, E*-F*],
 
-    with staircases rho_{f-p-1} and rho_{f-2p-1}.
+    with staircases rho_{f-p-1} and rho_{f-2p-1}.  ``cross_check`` also
+    evaluates the first member through the product of Grassmannians.
     """
+    if kind not in ("sym", "skew"):
+        raise ValueError(f"kind must be 'sym' or 'skew', got {kind!r}")
+    skew = kind == "skew"
     e = f + n
-    ctx, fs, s_dual, rs_diff, f_dual, ef_diff = _flag_model(f, p, n)
-    mult = schur_s(staircase(p), s_dual)
-    member1 = staircase_schur_sum("P", f - p - 1, f - p, n, s_dual, rs_diff) * mult
-    T = Partition(tuple(range(e - p - 1, n - 1, -1)))
+    ctx, fs, s_dual, rs_diff = _flag_model(f, p, n)
+    mult, member1 = _identity_integrand(kind, f, p, n, s_dual, rs_diff)
+    T = Partition(tuple(range(e - p - skew, n - skew, -1)))
     member2 = skew_schur_sum(T, s_dual, rs_diff) * mult
+    if not skew:
+        member2 = member2.scale(2 ** (f - 2 * p))
     lhs = flag_pushforward(member1, fs, ctx.ring)
     middle = flag_pushforward(member2, fs, ctx.ring)
-    rhs = staircase_schur_sum("P", f - 2 * p - 1, f - 2 * p, n, f_dual, ef_diff)
-    via = _identity_via_product("skew", f, p, n, ctx) if cross_check else None
-    return IdentityCheck("skew", f, p, n, lhs, middle, rhs, via)
+    f_dual = ctx.F.dual()
+    ef_diff = difference(ctx.E.dual(), f_dual)
+    rhs = staircase_schur_sum("P" if skew else "Q", f - 2 * p - skew, f - 2 * p, n, f_dual, ef_diff)
+    via = _identity_via_product(kind, f, p, n, ctx) if cross_check else None
+    return IdentityCheck(kind, f, p, n, lhs, middle, rhs, via)
 
 
 def _identity_via_product(kind: str, f: int, p: int, n: int, ctx: ModelContext) -> Poly:
@@ -365,14 +366,7 @@ def _identity_via_product(kind: str, f: int, p: int, n: int, ctx: ModelContext) 
     r_dual = Alphabet(ring, v[: e - p], negated=True)
     rs_diff = difference(r_dual, s_dual)
     correction = tensor_sum_product(s_dual, Alphabet(ring, v[e - p :]))
-    if kind == "sym":
-        mult = schur_s(staircase(p - 1), s_dual)
-        integrand = staircase_schur_sum("Q", f - p, f - p, n, s_dual, rs_diff) * mult
-        integrand = integrand.scale(Fraction(1, 2**p))
-    else:
-        mult = schur_s(staircase(p), s_dual)
-        integrand = staircase_schur_sum("P", f - p - 1, f - p, n, s_dual, rs_diff) * mult
-    integrand = integrand * correction
+    integrand = _identity_integrand(kind, f, p, n, s_dual, rs_diff)[1] * correction
     pushed = grassmann_pushforward(integrand, GrassmannSetup(ring, u[f - p :] + u[: f - p], p))
     pushed = grassmann_pushforward(pushed, GrassmannSetup(ring, v[e - p :] + v[: e - p], p))
     pairs = expand_schur_pair(pushed, Alphabet(ring, u), Alphabet(ring, v))

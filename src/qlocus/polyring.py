@@ -79,7 +79,7 @@ class Ring:
         self.zero = Poly(self, {})
         self.one = Poly(self, {0: 1})
         self._vcache = [Poly(self, {1 << (SHIFT * i): 1}) for i in range(pos)]
-        self.memo: dict = {}  # alphabets/schur memo: "h" series, "s" S-polynomials, "Q" recurrence
+        self.memo: dict = {}  # alphabets/schur memo: "h" complete series, "Q" Pfaffian entries
 
     def block(self, name: str) -> tuple[int, ...]:
         return self.blocks[name]
@@ -102,6 +102,9 @@ class Ring:
     # -- packed-key helpers -------------------------------------------
 
     def pack(self, exps) -> int:
+        """Packed key of an exponent sequence; a short one pads with zeros."""
+        if len(exps) > self.nvars:
+            raise ValueError(f"{len(exps)} exponents for a ring of {self.nvars} variables")
         k = 0
         for i, e in enumerate(exps):
             if not 0 <= e <= MAX_EXP:
@@ -161,6 +164,8 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
+        elif other.ring is not self.ring:
+            raise ValueError("polynomials of different rings")
         out = dict(self.terms)
         for k, c in other.terms.items():
             v = out.get(k, 0) + c
@@ -200,6 +205,8 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if other.ring is not self.ring:
+            raise ValueError("polynomials of different rings")
         deg = self.total_degree() + other.total_degree()
         if deg > MAX_EXP and any(
             x + y > MAX_EXP for x, y in zip(_max_exponents(self), _max_exponents(other))

@@ -2,21 +2,24 @@
 
 S-polynomials of (virtual) alphabets, skew or not, are all built by
 :func:`schur_skew` (``schur_s`` is the skew shape over the empty
-partition).  A straight shape on a difference P - N is read off the
-factorization of hook Schur functions, a product of root differences
-times two smaller S-polynomials, whenever the shape allows it; every
-other S-polynomial is a Jacobi-Trudi determinant (:func:`jacobi_trudi`)
-in the complete symmetric functions of the alphabet V, or, for a shape
-with fewer columns than rows, of -V^∨ on the conjugate shape.
+partition), with no memo of their own.  A straight shape on a difference
+P - N is read off the factorization of hook Schur functions, a product
+of root differences times two smaller S-polynomials, whenever the shape
+allows it; every other S-polynomial is a Jacobi-Trudi determinant
+(:func:`jacobi_trudi`) over the memoized complete series of the alphabet
+V, or, for a shape with fewer columns than rows, of -V^∨ on the
+conjugate shape.
 
-Q-polynomials are built from the one-row series, the complete series of
-A - A^∨, by the classical Pfaffian-style recurrences:
+Q-polynomials are the Pfaffian Q_lam = Pf[Q_(lam_i, lam_j)], with a zero
+part appended when lam has odd length (Macdonald, *Symmetric Functions
+and Hall Polynomials*, III.8 (8.11)), expanded along the first part.
+Its entries come from the one-row series q_i, the complete series of
+A - A^∨:
 
-* two rows, i > j:  Q_(i,j) = Q_i Q_j + 2 * sum_{p=1..j} (-1)^p Q_{i+p} Q_{j-p}
-* odd length:       expansion with signs over (i_p, rest)
-* even length >= 4: expansion with signs over the pairs (i_1, i_p)
+    Q_(i,j) = q_i q_j + 2 * sum_{p=1..j} (-1)^p q_{i+p} q_{j-p},
 
-and P_I is Q_I divided by 2^length, which is always exact.
+so Q_(i,0) = q_i.  P_I is Q_I divided by 2^length, which is always
+exact.
 
 Expansions into the S-basis of one or two alphabets read each coefficient
 off the terms of the input by straightening (see :func:`_straighten`).
@@ -66,7 +69,7 @@ def schur_s(I: Partition, v) -> Poly:
 
 
 def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
-    """Skew S-polynomial s_{lam/mu}(v), memoized; requires mu ⊂ lam.
+    """Skew S-polynomial s_{lam/mu}(v); requires mu ⊂ lam.
 
     A straight shape on P - N first tries the hook factorization
     (:func:`_hook_factor`).  Otherwise the value is a Jacobi-Trudi
@@ -78,19 +81,13 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
     v = _as_virtual(v)
-    ring = v.ring
-    key = ("s", v.sig(), lam.parts, mu.parts)
-    got = ring.memo.get(key)
-    if got is None:
-        got = None if mu.parts else _hook_factor(lam, v)
-        if got is None:
-            if lam.part(1) < lam.length:
-                d = v.dual()  # -V^∨ swaps the sides of V^∨
-                got = jacobi_trudi(lam.conjugate(), mu.conjugate(), VirtualAlphabet(d.neg, d.pos))
-            else:
-                got = jacobi_trudi(lam, mu, v)
-        ring.memo[key] = got
-    return got
+    got = None if mu.parts else _hook_factor(lam, v)
+    if got is not None:
+        return got
+    if lam.part(1) < lam.length:
+        d = v.dual()  # -V^∨ swaps the sides of V^∨
+        return jacobi_trudi(lam.conjugate(), mu.conjugate(), VirtualAlphabet(d.neg, d.pos))
+    return jacobi_trudi(lam, mu, v)
 
 
 def jacobi_trudi(lam: Partition, mu: Partition, v) -> Poly:
@@ -142,39 +139,31 @@ def _hook_factor(lam: Partition, v: VirtualAlphabet) -> Poly | None:
 
 
 def schur_q(I: Partition, a: Alphabet) -> Poly:
-    """Q-polynomial of a strict partition on a genuine alphabet."""
+    """Q-polynomial of a strict partition on a genuine alphabet, memoized
+    on the parts padded to even length."""
     if not I.is_strict():
         raise ValueError(f"Q-polynomials are indexed by strict partitions, got {I}")
+    parts = I.parts + (0,) * (I.length % 2)
     ring = a.ring
-    key = ("Q", a.sig(), I.parts)
+    key = ("Q", a.sig(), parts)
     got = ring.memo.get(key)
     if got is not None:
         return got
-    k = I.length
-    if k == 0:
-        out = ring.one
-    elif k == 1:
-        out = q_sym(I.parts[0], a)
-    elif k == 2:
-        i, j = I.parts
-        out = q_sym(i, a) * q_sym(j, a)
+    if not parts:
+        got = ring.one
+    elif len(parts) == 2:
+        i, j = parts
+        got = q_sym(i, a) * q_sym(j, a)
         for p in range(1, j + 1):
-            term = q_sym(i + p, a) * q_sym(j - p, a)
-            out = out + term.scale(2 if p % 2 == 0 else -2)
-    elif k % 2 == 1:
-        out = ring.zero
-        for p in range(1, k + 1):
-            term = q_sym(I.parts[p - 1], a) * schur_q(I.remove_part(p), a)
-            out = out + (term if p % 2 == 1 else -term)
+            got = got + (q_sym(i + p, a) * q_sym(j - p, a)).scale(2 if p % 2 == 0 else -2)
     else:
-        out = ring.zero
-        for p in range(2, k + 1):
-            head = schur_q(Partition((I.parts[0], I.parts[p - 1])), a)
-            rest = schur_q(Partition(I.parts[1 : p - 1] + I.parts[p:]), a)
-            term = head * rest
-            out = out + (term if p % 2 == 0 else -term)
-    ring.memo[key] = out
-    return out
+        got = ring.zero
+        for p in range(1, len(parts)):
+            head = schur_q(Partition((parts[0], parts[p])), a)
+            term = head * schur_q(Partition(parts[1:p] + parts[p + 1 :]), a)
+            got = got + (term if p % 2 else -term)
+    ring.memo[key] = got
+    return got
 
 
 def schur_p(I: Partition, a: Alphabet) -> Poly:
@@ -298,7 +287,7 @@ class SchurPairExpansion:
         return total
 
 
-def schur_difference_split(L: Partition, b: Alphabet, max_a_length: int | None = None):
+def schur_difference_split(L: Partition, b: Alphabet, max_a_length: int):
     """Decompose s_L(A - B) without touching the alphabet A:
 
         s_L(A - B) = sum over mu ⊂ L of s_mu(A) * s_{L/mu}(-B)
@@ -310,7 +299,7 @@ def schur_difference_split(L: Partition, b: Alphabet, max_a_length: int | None =
     minus_b = VirtualAlphabet((), (b,))
     out = []
     for mu in subpartitions(L):
-        if max_a_length is not None and mu.length > max_a_length:
+        if mu.length > max_a_length:
             continue
         skew = schur_skew(L, mu, minus_b)
         if not skew.is_zero():

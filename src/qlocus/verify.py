@@ -37,8 +37,7 @@ from .locus import (
     class_via_pushforward,
     expression_to_poly,
     projective_degree,
-    verify_identity_skew,
-    verify_identity_sym,
+    verify_identity,
 )
 from .partitions import Partition, rectangle, staircase, strict_partitions_bounded
 from .polyring import Ring, product
@@ -240,10 +239,9 @@ def suite_identities(max_f: int = 4, max_p: int = 1, max_n: int = 1) -> list[Cas
             if 2 * p >= f:
                 continue
             for n in range(0, max_n + 1):
-                chk = verify_identity_sym(f, p, n)
-                out.append(CaseResult("identity.sym", f"f={f} p={p} n={n}", chk.ok))
-                chk = verify_identity_skew(f, p, n)
-                out.append(CaseResult("identity.skew", f"f={f} p={p} n={n}", chk.ok))
+                for kind in ("sym", "skew"):
+                    chk = verify_identity(kind, f, p, n)
+                    out.append(CaseResult(f"identity.{kind}", f"f={f} p={p} n={n}", chk.ok))
     return out
 
 

@@ -28,8 +28,7 @@ from qlocus.locus import (
     class_via_pushforward,
     expression_to_poly,
     projective_degree,
-    verify_identity_skew,
-    verify_identity_sym,
+    verify_identity,
 )
 from qlocus.partitions import (
     Partition,
@@ -156,8 +155,8 @@ def test_criterion_5_flag_pushforward_identities():
         ]
         cases.append((5, 2, 0))
         for f, p, n in cases:
-            assert verify_identity_sym(f, p, n).ok, ("sym", f, p, n)
-            assert verify_identity_skew(f, p, n).ok, ("skew", f, p, n)
+            assert verify_identity("sym", f, p, n).ok, ("sym", f, p, n)
+            assert verify_identity("skew", f, p, n).ok, ("skew", f, p, n)
 
 
 def test_criterion_6_projective_degrees():

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +125,16 @@ def test_verify_rejects_wrong_bound_flag(capsys):
     assert code == 0  # unknown-to-the-suite bounds are ignored, not errors
 
 
+@pytest.mark.parametrize("bound", ["--max-e", "--max-f", "--max-n", "--max-p", "--max-weight"])
+def test_verify_rejects_a_negative_bound(capsys, bound):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "identities", bound, "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {bound}: not a non-negative integer: '-3'" in captured.err
+
+
 def test_domain_error_exits_2(capsys):
     code, out, err = run(
         capsys, "class", "--e", "3", "--f", "3", "--r", "1", "--symmetry", "skew"
@@ -208,3 +220,19 @@ def test_rendered_polynomials_keep_their_bytes(capsys, request_line):
     code, out, err = run(capsys, *request_line.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == RENDERED_DIGESTS[request_line]
+
+
+def test_traced_layers_resolve_under_src():
+    # every layer the benchmark's tracer wraps must still exist, or a
+    # traced run dies on start-up
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("traced_cli", root / "perfbench" / "traced_cli.py")
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    for name, modname, path, *_ in traced.TARGETS:
+        owner = importlib.import_module(modname)
+        assert Path(owner.__file__).resolve().is_relative_to(root / "src"), name
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(attr)), name

@@ -14,8 +14,7 @@ from qlocus.locus import (
     expected_codim,
     expression_to_poly,
     projective_degree,
-    verify_identity_skew,
-    verify_identity_sym,
+    verify_identity,
 )
 from qlocus.partitions import Partition, staircase
 from qlocus.polyring import Ring, apply_substitution, is_symmetric
@@ -281,6 +280,12 @@ def test_projective_degree_builds_no_ring_with_variables(monkeypatch):
     assert sizes == [0]
 
 
+@pytest.mark.parametrize("e_twists,f_twists", [((1.5, 1, 1, 1), (1, 1, 1)), ((1, 1, 1, 1), (1, 1, 0.5))])
+def test_projective_degree_rejects_non_integer_twists(e_twists, f_twists):
+    with pytest.raises(ValueError):
+        projective_degree(e_twists, f_twists, 2, "skew")
+
+
 def test_projective_degree_rejects_an_inhomogeneous_class(monkeypatch):
     # the weight-1 term does not belong in a class of codimension 2
     bad = ClassExpression.build(
@@ -301,27 +306,32 @@ def test_projective_degree_with_mixed_twists():
 
 @pytest.mark.parametrize("f,p,n", [(1, 0, 0), (1, 0, 1), (2, 0, 1), (3, 1, 0), (3, 1, 1)])
 def test_identity_members_sym(f, p, n):
-    chk = verify_identity_sym(f, p, n)
+    chk = verify_identity("sym", f, p, n)
     assert chk.ok, (f, p, n)
 
 
 @pytest.mark.parametrize("f,p,n", [(1, 0, 0), (1, 0, 1), (2, 0, 1), (3, 1, 0), (3, 1, 1)])
 def test_identity_members_skew(f, p, n):
-    chk = verify_identity_skew(f, p, n)
+    chk = verify_identity("skew", f, p, n)
     assert chk.ok, (f, p, n)
 
 
 def test_identity_cross_check_via_product_of_grassmannians():
-    chk = verify_identity_sym(3, 1, 1, cross_check=True)
+    chk = verify_identity("sym", 3, 1, 1, cross_check=True)
     assert chk.via_product is not None
     assert chk.ok
-    chk = verify_identity_skew(3, 1, 1, cross_check=True)
+    chk = verify_identity("skew", 3, 1, 1, cross_check=True)
     assert chk.via_product is not None
     assert chk.ok
+
+
+def test_identity_rejects_an_unknown_kind():
+    with pytest.raises(ValueError):
+        verify_identity("Sym", 2, 0, 1)
 
 
 def test_identity_check_flags_mismatch():
-    chk = verify_identity_sym(2, 0, 1)
+    chk = verify_identity("sym", 2, 0, 1)
     bad = IdentityCheck(
         chk.kind, chk.f, chk.p, chk.n, chk.lhs, chk.middle, chk.rhs + 1
     )

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,22 @@ def test_pack_unpack_round_trip():
     assert R.key_degree(R.pack(e)) == 10
     with pytest.raises(OverflowError):
         R.pack((MAX_EXP + 1, 0, 0))
+
+
+def test_pack_refuses_more_exponents_than_variables():
+    assert R.pack((1, 2)) == R.pack((1, 2, 0))
+    with pytest.raises(ValueError):
+        R.pack((0, 0, 0, 1))
+    with pytest.raises(ValueError):
+        Ring([("x", 2)]).monomial((0, 0, 1))
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+def test_arithmetic_refuses_polynomials_of_another_ring(op):
+    x = Ring([("x", 2)]).variable(0)
+    y = Ring([("y", 2)]).variable(1)
+    with pytest.raises(ValueError):
+        getattr(operator, op)(x, y)
 
 
 def test_constants_and_scalars():

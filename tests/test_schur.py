@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlocus import schur
-from qlocus.alphabets import Alphabet, VirtualAlphabet, complete_sym, difference, make_model
+from qlocus.alphabets import Alphabet, VirtualAlphabet, complete_sym, difference, make_model, q_sym
 from qlocus.locus import LocusProblem, class_of, class_schur_pair_expansion, expression_to_poly
 from qlocus.partitions import Partition, rectangle, staircase, strict_partitions_bounded, subpartitions
 from qlocus.polyring import (
@@ -90,6 +90,44 @@ def symmetrizer_q(I: Partition, ring: Ring, n: int):
         term = apply_permutation(base, list(w))
         total = total + (term if _perm_sign(w) > 0 else -term)
     return exact_div(total.scale(Fraction(2**l, math.factorial(n - l))), V)
+
+
+def recurrence_q(I: Partition, a: Alphabet, memo: dict) -> Poly:
+    """Q_I by the classical recurrences on I itself, with no zero part:
+
+    * one row:          q_i
+    * two rows, i > j:  q_i q_j + 2 * sum_{p=1..j} (-1)^p q_{i+p} q_{j-p}
+    * odd length:       sum over p of (-1)^(p+1) q_{I_p} Q_{I minus I_p}
+    * even length >= 4: sum over p >= 2 of (-1)^p Q_{(I_1, I_p)} Q_{I minus I_1, I_p}
+
+    It shares only the one-row series q_i with :func:`schur_q`.
+    """
+    got = memo.get(I)
+    if got is not None:
+        return got
+    parts, k = I.parts, I.length
+    if k == 0:
+        got = a.ring.one
+    elif k == 1:
+        got = q_sym(parts[0], a)
+    elif k == 2:
+        i, j = parts
+        got = q_sym(i, a) * q_sym(j, a)
+        for p in range(1, j + 1):
+            got = got + (q_sym(i + p, a) * q_sym(j - p, a)).scale(2 if p % 2 == 0 else -2)
+    elif k % 2:
+        got = a.ring.zero
+        for p in range(1, k + 1):
+            term = q_sym(parts[p - 1], a) * recurrence_q(I.remove_part(p), a, memo)
+            got = got + (term if p % 2 else -term)
+    else:
+        got = a.ring.zero
+        for p in range(2, k + 1):
+            head = recurrence_q(Partition((parts[0], parts[p - 1])), a, memo)
+            rest = recurrence_q(Partition(parts[1 : p - 1] + parts[p:]), a, memo)
+            got = got + (head * rest if p % 2 == 0 else -(head * rest))
+    memo[I] = got
+    return got
 
 
 def greedy_expand(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
@@ -235,6 +273,23 @@ def test_schur_q_matches_symmetrizer(n):
     A = Alphabet(ring, ring.block("x"))
     for I in strict_partitions_bounded(4, 3, 8):
         assert schur_q(I, A) == symmetrizer_q(I, ring, n), I
+
+
+@st.composite
+def _q_problems(draw):
+    """A strict partition of length 0 to 5 with parts up to 7, and an
+    alphabet of 1 to 4 roots, variables or numbers, plain or dual."""
+    I = Partition(sorted(draw(st.sets(st.integers(1, 7), max_size=5)), reverse=True))
+    nvars = draw(st.integers(0, 4))
+    values = draw(st.lists(st.integers(-3, 3), min_size=0 if nvars else 1, max_size=4 - nvars))
+    ring = Ring([("x", nvars)])
+    return I, Alphabet(ring, ring.block("x"), draw(st.booleans()), tuple(values))
+
+
+@given(_q_problems())
+def test_schur_q_matches_the_recurrence(problem):
+    I, A = problem
+    assert schur_q(I, A) == recurrence_q(I, A, {})
 
 
 def test_schur_q_hand_value():
