@@ -12,27 +12,36 @@ Two evaluation models are used everywhere:
   s_i(E - F) is literally s_i(K);
 * ``independent`` — separate blocks ``e`` and ``f`` with E - F a genuine
   virtual difference.
+
+Both are immutable plain classes with identity equality: two alphabets
+built from the same roots are distinct objects, and the memo tables key
+on :meth:`sig` instead.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .polyring import Poly, Ring
 
 
-@dataclass(frozen=True, eq=False)
 class Alphabet:
     """An ordered set of Chern roots, possibly negated: the ring
     ``variables``, then the numbers ``values``."""
 
-    ring: Ring
-    variables: tuple[int, ...]
-    negated: bool = False
-    values: tuple = ()
+    __slots__ = ("ring", "variables", "negated", "values")
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(
+        self, ring: Ring, variables: tuple[int, ...], negated: bool = False, values: tuple = ()
+    ):
+        if len(set(variables)) != len(variables):
             raise ValueError("alphabet variables must be distinct")
+        if variables and (min(variables) < 0 or max(variables) >= ring.nvars):
+            raise ValueError(f"alphabet variables must lie in 0..{ring.nvars - 1}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "negated", negated)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Alphabet is immutable")
 
     @property
     def size(self) -> int:
@@ -49,19 +58,22 @@ class Alphabet:
         return ("A", self.variables, self.negated, self.values)
 
 
-@dataclass(frozen=True, eq=False)
 class VirtualAlphabet:
     """Formal difference (sum of ``pos``) - (sum of ``neg``)."""
 
-    pos: tuple[Alphabet, ...]
-    neg: tuple[Alphabet, ...] = ()
+    __slots__ = ("pos", "neg")
 
-    def __post_init__(self):
-        alphabets = self.pos + self.neg
+    def __init__(self, pos: tuple[Alphabet, ...], neg: tuple[Alphabet, ...] = ()):
+        alphabets = pos + neg
         if not alphabets:
             raise ValueError("a virtual alphabet needs at least one alphabet")
         if any(a.ring is not alphabets[0].ring for a in alphabets):
             raise ValueError("the alphabets of a virtual alphabet must share one ring")
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VirtualAlphabet is immutable")
 
     @property
     def ring(self) -> Ring:

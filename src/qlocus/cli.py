@@ -13,14 +13,15 @@ Subcommands:
 * ``verify`` — run the brute-force identity suites.
 
 All output is deterministic; identical invocations print identical
-bytes.  Usage and domain errors exit with status 2 and one line on
+bytes.  Every request is a fresh process, so a start imports only what
+every request needs: ``json`` is imported by ``--format structured``
+alone.  Usage and domain errors exit with status 2 and one line on
 stderr; a failed verification exits with status 1, and a reader closing
 stdout early (``| head``) with status 141 and nothing on stderr.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -109,6 +110,8 @@ def cmd_class(args) -> int:
     elif args.format == "schur-pair":
         print(class_schur_pair_expansion(problem).render())
     else:
+        import json  # here, not at the top: only this format needs it
+
         doc = {
             "command": "class",
             "parameters": {

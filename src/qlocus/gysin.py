@@ -24,7 +24,6 @@ than symmetrized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .alphabets import Alphabet
 from .chern import tensor_sum_product
@@ -38,25 +37,37 @@ class BlockSymmetryError(ValueError):
     variable group."""
 
 
-@dataclass(frozen=True)
 class GrassmannSetup:
-    """Push-forward data for G^q(E) -> X.
+    """Push-forward data for G^q(E) -> X, immutable and compared by value.
 
     ``variables`` are the Chern roots of E in a fixed order; the first
     ``q`` positions are the quotient part of the initial designation.
     """
 
-    ring: Ring
-    variables: tuple[int, ...]
-    q: int
+    __slots__ = ("ring", "variables", "q")
 
-    def __post_init__(self):
-        if not 0 <= self.q <= len(self.variables):
-            raise ValueError(f"q={self.q} out of range for {len(self.variables)} roots")
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(self, ring: Ring, variables: tuple[int, ...], q: int):
+        if not 0 <= q <= len(variables):
+            raise ValueError(f"q={q} out of range for {len(variables)} roots")
+        if len(set(variables)) != len(variables):
             raise ValueError("designated roots must be distinct")
-        if not all(0 <= v < self.ring.nvars for v in self.variables):
-            raise ValueError(f"designated roots must lie in 0..{self.ring.nvars - 1}")
+        if not all(0 <= v < ring.nvars for v in variables):
+            raise ValueError(f"designated roots must lie in 0..{ring.nvars - 1}")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GrassmannSetup is immutable")
+
+    def _key(self) -> tuple:
+        return (self.ring, self.variables, self.q)
+
+    def __eq__(self, other):
+        return isinstance(other, GrassmannSetup) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def e(self) -> int:
@@ -103,21 +114,26 @@ def grassmann_pushforward(P: Poly, setup: GrassmannSetup) -> Poly:
     return P
 
 
-@dataclass(frozen=True)
 class RepeatedPushforward:
     """Push-forwards of ``factor * P`` for one fixed factor and many P."""
 
-    setup: GrassmannSetup
-    factor: Poly
+    __slots__ = ("setup", "factor")
+
+    def __init__(self, setup: GrassmannSetup, factor: Poly):
+        object.__setattr__(self, "setup", setup)
+        object.__setattr__(self, "factor", factor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RepeatedPushforward is immutable")
 
     def push(self, P: Poly) -> Poly:
         return grassmann_pushforward(self.factor * P, self.setup)
 
 
-@dataclass(frozen=True)
 class FlagSetup:
     """Two-step flag bundle Fl_{f-p, e-p}(F, E) -> X in the surjection
-    model, presented as an inner Grassmannian over an outer one.
+    model, presented as an inner Grassmannian over an outer one;
+    immutable and compared by value.
 
     Chern roots: ``f_vars`` for F, ``k_vars`` for the kernel of E -> F.
     The outer stage is G^p(F) (sub S of rank f-p, the first f-p roots of
@@ -126,13 +142,26 @@ class FlagSetup:
     ``2p < f`` is required.
     """
 
-    f_vars: tuple[int, ...]
-    k_vars: tuple[int, ...]
-    p: int
+    __slots__ = ("f_vars", "k_vars", "p")
 
-    def __post_init__(self):
-        if not 0 <= 2 * self.p < len(self.f_vars):
-            raise ValueError(f"need 0 <= 2p < f, got p={self.p}, f={len(self.f_vars)}")
+    def __init__(self, f_vars: tuple[int, ...], k_vars: tuple[int, ...], p: int):
+        if not 0 <= 2 * p < len(f_vars):
+            raise ValueError(f"need 0 <= 2p < f, got p={p}, f={len(f_vars)}")
+        object.__setattr__(self, "f_vars", f_vars)
+        object.__setattr__(self, "k_vars", k_vars)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FlagSetup is immutable")
+
+    def _key(self) -> tuple:
+        return (self.f_vars, self.k_vars, self.p)
+
+    def __eq__(self, other):
+        return isinstance(other, FlagSetup) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def f(self) -> int:
@@ -157,17 +186,19 @@ def flag_pushforward(P: Poly, fs: FlagSetup, ring: Ring) -> Poly:
     return grassmann_pushforward(grassmann_pushforward(P, inner), outer)
 
 
-@dataclass
 class PushforwardCheck:
     """Outcome of one instance of the Q/P push-forward formula on
     G^q(E): pi_*(c_top(R ⊗ Q) P_I(Q)) against d * P_I(E)."""
 
-    e: int
-    q: int
-    I: Partition
-    d: int
-    computed: Poly
-    expected: Poly
+    __slots__ = ("e", "q", "I", "d", "computed", "expected")
+
+    def __init__(self, e: int, q: int, I: Partition, d: int, computed: Poly, expected: Poly):
+        self.e = e
+        self.q = q
+        self.I = I
+        self.d = d
+        self.computed = computed
+        self.expected = expected
 
     @property
     def ok(self) -> bool:

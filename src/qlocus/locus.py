@@ -16,7 +16,6 @@ expansion over independent E and F round out the interfaces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .alphabets import Alphabet, ModelContext, difference, make_model
@@ -42,28 +41,41 @@ from .schur import (
 )
 
 
-@dataclass(frozen=True)
 class LocusProblem:
-    """Ranks and symmetry type of one degeneracy problem.
+    """Ranks and symmetry type of one degeneracy problem, immutable and
+    compared by value.
 
     e >= f >= 1 and 0 <= r <= f; for skew morphisms the rank drops in
     steps of two, so e = f forces r even.
     """
 
-    e: int
-    f: int
-    r: int
-    symmetry: str  # "sym" | "skew"
+    __slots__ = ("e", "f", "r", "symmetry")
 
-    def __post_init__(self):
-        if self.symmetry not in ("sym", "skew"):
-            raise ValueError(f"symmetry must be 'sym' or 'skew', got {self.symmetry!r}")
-        if not self.e >= self.f >= 1:
-            raise ValueError(f"need e >= f >= 1, got e={self.e}, f={self.f}")
-        if not 0 <= self.r <= self.f:
-            raise ValueError(f"need 0 <= r <= f, got r={self.r}")
-        if self.symmetry == "skew" and self.e == self.f and self.r % 2:
+    def __init__(self, e: int, f: int, r: int, symmetry: str):
+        if symmetry not in ("sym", "skew"):
+            raise ValueError(f"symmetry must be 'sym' or 'skew', got {symmetry!r}")
+        if not e >= f >= 1:
+            raise ValueError(f"need e >= f >= 1, got e={e}, f={f}")
+        if not 0 <= r <= f:
+            raise ValueError(f"need 0 <= r <= f, got r={r}")
+        if symmetry == "skew" and e == f and r % 2:
             raise ValueError("skew with e=f requires even r")
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "symmetry", symmetry)  # "sym" | "skew"
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LocusProblem is immutable")
+
+    def _key(self) -> tuple:
+        return (self.e, self.f, self.r, self.symmetry)
+
+    def __eq__(self, other):
+        return isinstance(other, LocusProblem) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -83,12 +95,27 @@ def expected_codim(problem: LocusProblem) -> int:
     return q * (2 * n + q - 1) // 2
 
 
-@dataclass(frozen=True)
 class ClassExpression:
-    """A sum of coeff * [Q|P]_K(F) * s_L(E-F) terms with strict K."""
+    """A sum of coeff * [Q|P]_K(F) * s_L(E-F) terms with strict K,
+    immutable and compared by value."""
 
-    kind: str  # "Q" | "P"
-    terms: tuple[tuple[Partition, Partition, int], ...]
+    __slots__ = ("kind", "terms")
+
+    def __init__(self, kind: str, terms: tuple[tuple[Partition, Partition, int], ...]):
+        object.__setattr__(self, "kind", kind)  # "Q" | "P"
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ClassExpression is immutable")
+
+    def _key(self) -> tuple:
+        return (self.kind, self.terms)
+
+    def __eq__(self, other):
+        return isinstance(other, ClassExpression) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @staticmethod
     def build(kind: str, terms) -> "ClassExpression":
@@ -268,21 +295,26 @@ def projective_degree(e_twists, f_twists, r: int, symmetry: str) -> tuple[int, i
 # -- push-forward identities along the kernel flag --------------------
 
 
-@dataclass
 class IdentityCheck:
     """Three members of one push-forward identity: the staircase-sum
     integrand and its skew-Schur rewriting, both pushed down the flag,
     against the closed form; optionally the same push-forward computed
     through the ambient product of Grassmannians."""
 
-    kind: str  # "sym" | "skew"
-    f: int
-    p: int
-    n: int
-    lhs: Poly
-    middle: Poly
-    rhs: Poly
-    via_product: Poly | None = None
+    __slots__ = ("kind", "f", "p", "n", "lhs", "middle", "rhs", "via_product")
+
+    def __init__(
+        self, kind: str, f: int, p: int, n: int,
+        lhs: Poly, middle: Poly, rhs: Poly, via_product: Poly | None = None,
+    ):
+        self.kind = kind  # "sym" | "skew"
+        self.f = f
+        self.p = p
+        self.n = n
+        self.lhs = lhs
+        self.middle = middle
+        self.rhs = rhs
+        self.via_product = via_product
 
     @property
     def ok(self) -> bool:

@@ -21,7 +21,6 @@ the overflow guard of the next product does not rescan the terms.
 """
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 
 SHIFT = 6                 # bits per exponent field
@@ -319,6 +318,8 @@ def exact_div(num: Poly, den: Poly) -> Poly:
     term is divisible by the leading term of ``den``, no full reduction is
     needed.
     """
+    import heapq  # here, not at the top: only the tests divide, so a CLI start skips it
+
     ring = num.ring
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")

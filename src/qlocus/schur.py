@@ -18,8 +18,8 @@ A - A^∨:
 
     Q_(i,j) = q_i q_j + 2 * sum_{p=1..j} (-1)^p q_{i+p} q_{j-p},
 
-so Q_(i,0) = q_i.  P_I is Q_I divided by 2^length, which is always
-exact.
+so Q_(i,0) = q_i; a factor q_0 = 1 is never multiplied out.
+P_I is Q_I divided by 2^length, which is always exact.
 
 Expansions into the S-basis of one or two alphabets read each coefficient
 off the terms of the input by straightening (see :func:`_straighten`).
@@ -153,9 +153,11 @@ def schur_q(I: Partition, a: Alphabet) -> Poly:
         got = ring.one
     elif len(parts) == 2:
         i, j = parts
-        got = q_sym(i, a) * q_sym(j, a)
+        # q_0 = 1, so its products (j = 0, and p = j below) are skipped
+        got = q_sym(i, a) * q_sym(j, a) if j else q_sym(i, a)
         for p in range(1, j + 1):
-            got = got + (q_sym(i + p, a) * q_sym(j - p, a)).scale(2 if p % 2 == 0 else -2)
+            term = q_sym(i + p, a) * q_sym(j - p, a) if p < j else q_sym(i + j, a)
+            got = got + term.scale(2 if p % 2 == 0 else -2)
     else:
         got = ring.zero
         for p in range(1, len(parts)):

@@ -7,9 +7,6 @@ them into ``CASE <name> <params> : PASS/FAIL`` lines.
 """
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
-
 from .alphabets import Alphabet, difference, make_model
 from .chern import (
     ctop_product_oracle,
@@ -44,11 +41,19 @@ from .polyring import Ring, product
 from .schur import expand_schur_pair, jacobi_trudi, schur_p, schur_q, schur_s
 
 
-@dataclass(frozen=True)
 class CaseResult:
-    name: str
-    params: str
-    ok: bool
+    """One checked case: a suite-qualified name, its parameters, and
+    whether the identity held."""
+
+    __slots__ = ("name", "params", "ok")
+
+    def __init__(self, name: str, params: str, ok: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "ok", ok)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CaseResult is immutable")
 
     def render(self) -> str:
         return f"CASE {self.name} {self.params} : {'PASS' if self.ok else 'FAIL'}"
@@ -257,13 +262,13 @@ SUITES = {
 def run_suites(names, **bounds) -> list[CaseResult]:
     """Run the named suites with any applicable bound overrides.
 
-    Each suite picks up the bounds among its own keyword parameters;
-    bounds left as None keep the suite's default.
+    Each suite picks up the bounds among its own parameters, read off its
+    code object; bounds left as None keep the suite's default.
     """
     out = []
     for name in names:
         fn = SUITES[name]
-        accepted = inspect.signature(fn).parameters
+        accepted = fn.__code__.co_varnames[: fn.__code__.co_argcount]
         kw = {k: v for k, v in bounds.items() if v is not None and k in accepted}
         out.extend(fn(**kw))
     return out

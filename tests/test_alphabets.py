@@ -230,6 +230,14 @@ def test_q_sym_rejects_virtual_input():
         q_sym(2, difference(A, B))
 
 
+@pytest.mark.parametrize("variables", [(1, -1), (0, 5), (-1,), (2,)])
+def test_alphabet_rejects_variables_outside_the_ring(variables):
+    # (1, -1) named x2 twice through negative indexing, so complete_sym(2, .)
+    # read 3*x2^2; (0, 5) died later with a bare IndexError
+    with pytest.raises(ValueError, match=r"must lie in 0\.\.1"):
+        Alphabet(Ring([("x", 2)]), variables)
+
+
 def test_virtual_alphabet_needs_an_alphabet():
     with pytest.raises(ValueError, match="at least one alphabet"):
         VirtualAlphabet((), ())

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,24 @@ def test_console_script_entry_point():
     )
     assert out.returncode == 0
     assert out.stdout == "codim=1 degree=2\n"
+
+
+def test_cli_start_imports_no_unused_stdlib_modules():
+    # dataclasses brings in inspect (with ast, dis and tokenize), json serves
+    # one output format and heapq only exact_div: each would add start-up
+    # time to every request.  The benchmark's tracer looks up gysin and
+    # verify after importing the CLI, so those must stay loaded.
+    src = Path(__file__).resolve().parents[1] / "src"
+    names = ["dataclasses", "inspect", "json", "heapq", "qlocus.gysin", "qlocus.verify"]
+    probe = "import sys, qlocus.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *names],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "['qlocus.gysin', 'qlocus.verify']\n"
 
 
 @pytest.mark.parametrize("argv", [
