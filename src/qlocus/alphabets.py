@@ -24,7 +24,7 @@ from .polyring import Poly, Ring
 
 class Alphabet:
     """An ordered set of Chern roots, possibly negated: the ring
-    ``variables``, then the numbers ``values``."""
+    ``variables``, then the integers ``values``."""
 
     __slots__ = ("ring", "variables", "negated", "values")
 
@@ -35,6 +35,8 @@ class Alphabet:
             raise ValueError("alphabet variables must be distinct")
         if variables and (min(variables) < 0 or max(variables) >= ring.nvars):
             raise ValueError(f"alphabet variables must lie in 0..{ring.nvars - 1}")
+        if any(type(v) is not int for v in values):
+            raise ValueError(f"alphabet root values must be integers, got {values!r}")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "negated", negated)

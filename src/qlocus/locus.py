@@ -16,8 +16,6 @@ expansion over independent E and F round out the interfaces.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .alphabets import Alphabet, ModelContext, difference, make_model
 from .chern import (
     ctop_sym2,
@@ -203,18 +201,16 @@ def class_via_mnemonic(problem: LocusProblem) -> ClassExpression:
 
 
 def expression_to_poly(expr: ClassExpression, ctx: ModelContext) -> Poly:
-    """Evaluate on Chern roots; the result is always integral."""
+    """Evaluate on Chern roots."""
     return _evaluate(expr, ctx.F, ctx.e_minus_f())
 
 
 def _evaluate(expr: ClassExpression, F: Alphabet, emf) -> Poly:
-    """sum of c * [Q|P]_K(F) * s_L(emf) over the terms, checked integral."""
+    """sum of c * [Q|P]_K(F) * s_L(emf) over the terms."""
     qp = schur_q if expr.kind == "Q" else schur_p
     total = F.ring.zero
     for K, L, c in expr.terms:
         total = total + (qp(K, F) * schur_s(L, emf)).scale(c)
-    if not total.is_integral():
-        raise ArithmeticError("class evaluation produced non-integer coefficients")
     return total
 
 
@@ -239,10 +235,7 @@ def class_via_pushforward(problem: LocusProblem, ctx: ModelContext) -> Poly:
     ctop_rq = tensor_sum_product(Alphabet(ring, fv[q:]), quotient)
     top = ctop_sym2(quotient) if problem.symmetry == "sym" else ctop_wedge2(quotient)
     setup = GrassmannSetup(ring, fv, q)
-    out = grassmann_pushforward(ctop_kq * ctop_rq * top, setup)
-    if not out.is_integral():
-        raise ArithmeticError("push-forward produced non-integer coefficients")
-    return out
+    return grassmann_pushforward(ctop_kq * ctop_rq * top, setup)
 
 
 def class_schur_pair_expansion(problem: LocusProblem) -> SchurPairExpansion:
@@ -299,7 +292,8 @@ class IdentityCheck:
     """Three members of one push-forward identity: the staircase-sum
     integrand and its skew-Schur rewriting, both pushed down the flag,
     against the closed form; optionally the same push-forward computed
-    through the ambient product of Grassmannians."""
+    through the ambient product of Grassmannians.  For kind "sym" every
+    member carries a factor 2^p, so all of them are integral."""
 
     __slots__ = ("kind", "f", "p", "n", "lhs", "middle", "rhs", "via_product")
 
@@ -335,22 +329,23 @@ def _flag_model(f: int, p: int, n: int):
 
 def _identity_integrand(kind: str, f: int, p: int, n: int, s_dual: Alphabet, rs_diff):
     """(s_rho(S*), the staircase-sum integrand) of :func:`verify_identity`:
-    rho = rho_{p-1} and 2^{-p} times the Q-staircase sum for "sym",
-    rho = rho_p and the P-staircase sum for "skew"."""
+    rho = rho_{p-1} and the Q-staircase sum for "sym", rho = rho_p and
+    the P-staircase sum for "skew"."""
     skew = kind == "skew"
     mult = schur_s(staircase(p - 1 + skew), s_dual)
     stair = staircase_schur_sum("P" if skew else "Q", f - p - skew, f - p, n, s_dual, rs_diff)
-    integrand = stair * mult
-    return mult, integrand if skew else integrand.scale(Fraction(1, 2**p))
+    return mult, stair * mult
 
 
 def verify_identity(kind: str, f: int, p: int, n: int, cross_check: bool = False) -> IdentityCheck:
     """Push two equal integrands down Fl_{f-p, e-p}(F, E) and compare
-    with the closed staircase sum in F* and E* - F*.  For kind "sym":
+    with the closed staircase sum in F* and E* - F*.  For kind "sym", with
+    all three members multiplied by 2^p so that every coefficient is an
+    integer:
 
-      2^{-p}  * [Q-staircase sum over the (f-p) x n box on S*, R*-S*] * s_{rho_{p-1}}(S*)
-      2^{f-2p} * [skew sum over T = (e-p, ..., n+1) on S*, R*-S*]    * s_{rho_{p-1}}(S*)
-      == [Q-staircase sum over the (f-2p) x n box on F*, E*-F*],
+      [Q-staircase sum over the (f-p) x n box on S*, R*-S*]          * s_{rho_{p-1}}(S*)
+      2^{f-p} * [skew sum over T = (e-p, ..., n+1) on S*, R*-S*]     * s_{rho_{p-1}}(S*)
+      == 2^p * [Q-staircase sum over the (f-2p) x n box on F*, E*-F*],
 
     with staircases rho_{f-p} and rho_{f-2p}.  For kind "skew", with no
     powers of 2:
@@ -370,13 +365,14 @@ def verify_identity(kind: str, f: int, p: int, n: int, cross_check: bool = False
     mult, member1 = _identity_integrand(kind, f, p, n, s_dual, rs_diff)
     T = Partition(tuple(range(e - p - skew, n - skew, -1)))
     member2 = skew_schur_sum(T, s_dual, rs_diff) * mult
-    if not skew:
-        member2 = member2.scale(2 ** (f - 2 * p))
-    lhs = flag_pushforward(member1, fs, ctx.ring)
-    middle = flag_pushforward(member2, fs, ctx.ring)
     f_dual = ctx.F.dual()
     ef_diff = difference(ctx.E.dual(), f_dual)
     rhs = staircase_schur_sum("P" if skew else "Q", f - 2 * p - skew, f - 2 * p, n, f_dual, ef_diff)
+    if not skew:
+        member2 = member2.scale(2 ** (f - p))
+        rhs = rhs.scale(2**p)
+    lhs = flag_pushforward(member1, fs, ctx.ring)
+    middle = flag_pushforward(member2, fs, ctx.ring)
     via = _identity_via_product(kind, f, p, n, ctx) if cross_check else None
     return IdentityCheck(kind, f, p, n, lhs, middle, rhs, via)
 
@@ -401,8 +397,4 @@ def _identity_via_product(kind: str, f: int, p: int, n: int, ctx: ModelContext) 
     integrand = _identity_integrand(kind, f, p, n, s_dual, rs_diff)[1] * correction
     pushed = grassmann_pushforward(integrand, GrassmannSetup(ring, u[f - p :] + u[: f - p], p))
     pushed = grassmann_pushforward(pushed, GrassmannSetup(ring, v[e - p :] + v[: e - p], p))
-    pairs = expand_schur_pair(pushed, Alphabet(ring, u), Alphabet(ring, v))
-    total = ctx.ring.zero
-    for (I, J), c in pairs.coeffs.items():
-        total = total + (schur_s(I, ctx.F) * schur_s(J, ctx.E)).scale(c)
-    return total
+    return expand_schur_pair(pushed, Alphabet(ring, u), Alphabet(ring, v)).to_poly(ctx.F, ctx.E)

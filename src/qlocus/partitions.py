@@ -21,7 +21,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(parts)
+        if any(type(p) is not int for p in ps):
+            raise ValueError(f"parts must be integers, got {parts}")
         while ps and ps[-1] == 0:
             ps = ps[:-1]
         for a, b in zip(ps, ps[1:]):

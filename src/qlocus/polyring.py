@@ -1,12 +1,11 @@
-"""Exact sparse multivariate polynomials over the rationals.
+"""Exact sparse multivariate polynomials over the integers.
 
 Variables live in named blocks declared once per :class:`Ring` (one ring
 per computation).  A monomial is stored as a single integer with six bits
 per variable, so multiplying monomials is integer addition; coefficients
-are Python ints, silently widened to :class:`fractions.Fraction` when a
-division forces it and narrowed back once the denominator clears.  A
-coefficient that is already an ``int`` (``type(c) is int``) never goes
-through that narrowing, so integral arithmetic skips it.
+are Python ints, the one coefficient type.  Every class computed here is
+an integer polynomial, so a coefficient of any other type (a float, a
+rational) is refused with ``TypeError`` rather than carried along.
 
 The term order everywhere (leading terms, canonical rendering, exact
 division) is graded reverse lexicographic with respect to the global
@@ -16,12 +15,10 @@ comparing packed keys as integers compares (e_{n-1}, ..., e_0)
 lexicographically, and no key is unpacked to sort.
 
 A product of nonzero polynomials carries its total degree, deg P + deg Q
-(exact, as Q[x] is a domain); negation and nonzero scaling keep it.  So
+(exact, as Z[x] is a domain); negation and nonzero scaling keep it.  So
 the overflow guard of the next product does not rescan the terms.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 SHIFT = 6                 # bits per exponent field
 MAX_EXP = (1 << SHIFT) - 1  # 63; enough for every computation done here
@@ -31,10 +28,10 @@ class NonDivisibleError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
-def _norm(c):
-    """Collapse Fractions with unit denominator back to int."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
+def _int(c) -> int:
+    """``c`` itself when it is an ``int``, the one coefficient type."""
+    if type(c) is not int:
+        raise TypeError(f"polynomial coefficients are ints, got {type(c).__name__}")
     return c
 
 
@@ -87,16 +84,15 @@ class Ring:
         return self._vcache[i]
 
     def const(self, c) -> "Poly":
-        c = _norm(c)
-        return Poly(self, {0: c} if c else {})
+        return Poly(self, {0: c} if _int(c) else {})
 
     def poly(self, terms: dict) -> "Poly":
-        """Canonicalize a raw {packed key: coefficient} mapping."""
-        return Poly(self, {k: _norm(c) for k, c in terms.items() if c})
+        """Canonicalize a raw {packed key: int coefficient} mapping."""
+        return Poly(self, {k: c for k, c in terms.items() if c})
 
     def monomial(self, exps, c=1) -> "Poly":
         """Monomial from a full-length exponent sequence."""
-        return self.poly({self.pack(exps): c})
+        return self.poly({self.pack(exps): _int(c)})
 
     # -- packed-key helpers -------------------------------------------
 
@@ -132,7 +128,7 @@ class Ring:
 
 class Poly:
     """Sparse polynomial; ``terms`` maps packed monomial keys to nonzero
-    int or Fraction coefficients.  Instances are treated as immutable."""
+    int coefficients.  Instances are treated as immutable."""
 
     __slots__ = ("ring", "terms", "_deg")
 
@@ -146,13 +142,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer."""
-        return all(type(c) is int for c in self.terms.values())
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
+        if isinstance(other, int):
+            return self.terms == ({0: other} if other else {})
         return isinstance(other, Poly) and self.ring is other.ring and self.terms == other.terms
 
     def __bool__(self):
@@ -161,7 +153,9 @@ class Poly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.ring.const(other)
         elif other.ring is not self.ring:
             raise ValueError("polynomials of different rings")
@@ -169,7 +163,7 @@ class Poly:
         for k, c in other.terms.items():
             v = out.get(k, 0) + c
             if v:
-                out[k] = v if type(v) is int else _norm(v)
+                out[k] = v
             else:
                 out.pop(k, None)
         return Poly(self.ring, out)
@@ -182,7 +176,9 @@ class Poly:
         return P
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, int):
+                return NotImplemented
             other = self.ring.const(other)
         return self + (-other)
 
@@ -190,20 +186,15 @@ class Poly:
         return (-self) + other
 
     def scale(self, c) -> "Poly":
-        c = _norm(c)
-        if not c:
+        if not _int(c):
             return self.ring.zero
-        out = {}
-        for k, v in self.terms.items():
-            v *= c
-            out[k] = v if type(v) is int else _norm(v)
-        P = Poly(self.ring, out)
+        P = Poly(self.ring, {k: v * c for k, v in self.terms.items()})
         P._deg = self._deg
         return P
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, Poly):
+            return self.scale(other) if isinstance(other, int) else NotImplemented
         if other.ring is not self.ring:
             raise ValueError("polynomials of different rings")
         deg = self.total_degree() + other.total_degree()
@@ -224,12 +215,9 @@ class Poly:
                     out[k] = v
                 else:
                     del out[k]
-        if not out:
-            return Poly(self.ring, out)
-        if not (all(type(c) is int for c in a.values()) and all(type(c) is int for c in b.values())):
-            out = {k: _norm(c) for k, c in out.items()}
         P = Poly(self.ring, out)
-        P._deg = deg  # exact: Q[x] is a domain, so the top-degree parts cannot cancel
+        if out:
+            P._deg = deg  # exact: Z[x] is a domain, so the top-degree parts cannot cancel
         return P
 
     __rmul__ = __mul__
@@ -310,8 +298,9 @@ class Poly:
 
 
 def exact_div(num: Poly, den: Poly) -> Poly:
-    """Exact quotient ``num / den``; raises NonDivisibleError if ``den``
-    does not divide ``num``.
+    """Exact quotient ``num / den`` in Z[x]; raises NonDivisibleError if
+    ``den`` does not divide ``num`` there, also when a leading coefficient
+    does not divide.
 
     Standard leading-term elimination in grevlex order with a lazy-deletion
     heap; since an exact quotient exists iff every intermediate leading
@@ -343,7 +332,9 @@ def exact_div(num: Poly, den: Poly) -> Poly:
         ke = unpack(k)
         if any(a < b for a, b in zip(ke, dexp)):
             raise NonDivisibleError("leading term not divisible")
-        qc = _norm(Fraction(c) / dc) if (isinstance(c, Fraction) or isinstance(dc, Fraction) or c % dc) else c // dc
+        qc, rem = divmod(c, dc)
+        if rem:
+            raise NonDivisibleError("leading coefficient not divisible")
         diff = k - dk
         quotient[diff] = qc
         for k2, c2 in dterms:

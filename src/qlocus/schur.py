@@ -26,11 +26,9 @@ off the terms of the input by straightening (see :func:`_straighten`).
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .alphabets import Alphabet, VirtualAlphabet, _as_virtual, complete_series, q_sym
 from .partitions import Partition, subpartitions
-from .polyring import MAX_EXP, SHIFT, Poly, Ring, _norm, is_symmetric, product
+from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric, product
 
 
 def determinant(ring: Ring, rows: list[list[Poly]]) -> Poly:
@@ -172,7 +170,7 @@ def schur_p(I: Partition, a: Alphabet) -> Poly:
     """P-polynomial: Q_I / 2^length(I), an exact integer division."""
     Q = schur_q(I, a)
     d = 2**I.length
-    if any(c % d for c in Q.terms.values()):  # a non-integer Fraction never divides
+    if any(c % d for c in Q.terms.values()):
         raise ArithmeticError(f"P-polynomial {I} came out non-integral")
     out = Poly(a.ring, {k: c // d for k, c in Q.terms.items()})
     out._deg = Q._deg
@@ -214,7 +212,7 @@ def _straighten(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
         if not is_symmetric(P, a.variables):
             raise ValueError("polynomial is not symmetric in the alphabet")
     layout = [[(SHIFT * v, a.size - 1 - i) for i, v in enumerate(a.variables)] for a in alphabets]
-    out: dict[tuple[tuple[int, ...], ...], int | Fraction] = {}
+    out: dict[tuple[tuple[int, ...], ...], int] = {}
     for key, c in P.terms.items():
         shapes = []
         for a, places in zip(alphabets, layout):
@@ -229,10 +227,10 @@ def _straighten(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
         else:
             shapes = tuple(shapes)
             out[shapes] = out.get(shapes, 0) + c
-    return {tuple(map(Partition, shapes)): _norm(c) for shapes, c in out.items() if c}
+    return {tuple(map(Partition, shapes)): c for shapes, c in out.items() if c}
 
 
-def expand_schur_basis(P: Poly, a: Alphabet) -> dict[Partition, int | Fraction]:
+def expand_schur_basis(P: Poly, a: Alphabet) -> dict[Partition, int]:
     """Write a symmetric polynomial of one alphabet in the S-basis."""
     return {lam: c for (lam,), c in _straighten(P, (a,)).items()}
 
@@ -244,7 +242,7 @@ def expand_schur_pair(P: Poly, a: Alphabet, b: Alphabet) -> "SchurPairExpansion"
 
 
 class SchurPairExpansion:
-    """An integer (or rational) combination of products s_I(A) * s_J(B)."""
+    """An integer combination of products s_I(A) * s_J(B)."""
 
     def __init__(self, coeffs: dict):
         self.coeffs = {pair: c for pair, c in coeffs.items() if c}
@@ -254,9 +252,6 @@ class SchurPairExpansion:
 
     def __len__(self):
         return len(self.coeffs)
-
-    def scaled(self, c) -> "SchurPairExpansion":
-        return SchurPairExpansion({p: v * c for p, v in self.coeffs.items()})
 
     def sorted_items(self):
         """Terms in decreasing (|I|+|J|, then lexicographic) order."""

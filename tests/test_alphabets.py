@@ -39,6 +39,13 @@ def test_value_alphabet_basics():
     assert A.dual().values == A.values
 
 
+@pytest.mark.parametrize("values", [(0.1, 0.2), (2.0,), (1, Fraction(1, 2))])
+def test_value_alphabet_refuses_non_integer_values(values):
+    # a float root once made complete_sym return a float
+    with pytest.raises(ValueError):
+        Alphabet(Ring([]), (), values=values)
+
+
 @pytest.mark.parametrize("other", ["values", "dual"])
 def test_value_alphabets_never_share_a_memo_entry(other):
     # odd degrees throughout, so the dual's values differ in sign

@@ -188,11 +188,15 @@ def test_console_script_entry_point():
 
 def test_cli_start_imports_no_unused_stdlib_modules():
     # dataclasses brings in inspect (with ast, dis and tokenize), json serves
-    # one output format and heapq only exact_div: each would add start-up
-    # time to every request.  The benchmark's tracer looks up gysin and
-    # verify after importing the CLI, so those must stay loaded.
+    # one output format, heapq only exact_div, and fractions (with decimal
+    # and numbers) no coefficient at all: each would add start-up time to
+    # every request.  The benchmark's tracer looks up gysin and verify after
+    # importing the CLI, so those must stay loaded.
     src = Path(__file__).resolve().parents[1] / "src"
-    names = ["dataclasses", "inspect", "json", "heapq", "qlocus.gysin", "qlocus.verify"]
+    names = [
+        "dataclasses", "inspect", "json", "heapq", "fractions", "decimal", "numbers",
+        "qlocus.gysin", "qlocus.verify",
+    ]
     probe = "import sys, qlocus.cli; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe, *names],

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -48,7 +47,7 @@ def coset_sum_pushforward(P, setup):
 
 def block_symmetric_integrands(ring, vs, q):
     """Integrands symmetric in vs[:q] and in vs[q:], reaching past the
-    fibre dimension, with a spectator variable and Fraction coefficients."""
+    fibre dimension, with a spectator variable and a non-unit coefficient."""
     r = len(vs) - q
     Q = Alphabet(ring, vs[:q])
     R = Alphabet(ring, vs[q:])
@@ -61,7 +60,7 @@ def block_symmetric_integrands(ring, vs, q):
         schur_s(box, Q),
         schur_s(box.add(Partition((1,))), Q) * (x + schur_s(Partition((1,)), R)),
         schur_s(box.add(Partition((2, 1))), Q) * schur_s(Partition((2,)), R),
-        (cross * schur_s(Partition((3, 1)), Q) * x * x).scale(Fraction(1, 3)),
+        (cross * schur_s(Partition((3, 1)), Q) * x * x).scale(-3),
     ]
 
 

@@ -32,6 +32,14 @@ def test_rejects_bad_sequences():
         Partition((2, -1))
 
 
+@pytest.mark.parametrize("parts", [(2.7,), (2.0, 1), (3, 1.5), ("2",), (True,)])
+def test_rejects_non_integer_parts(parts):
+    # a float part was once truncated without a word: (2.7,) gave [2]
+    with pytest.raises(ValueError):
+        Partition(parts)
+    assert Partition.parse("[3, 1]") == Partition((3, 1))
+
+
 def test_basic_accessors():
     I = Partition((4, 2, 1))
     assert I.weight == 7

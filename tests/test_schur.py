@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from operator import mul
@@ -89,7 +88,10 @@ def symmetrizer_q(I: Partition, ring: Ring, n: int):
     for w in permutations(range(n)):
         term = apply_permutation(base, list(w))
         total = total + (term if _perm_sign(w) > 0 else -term)
-    return exact_div(total.scale(Fraction(2**l, math.factorial(n - l))), V)
+    sym = exact_div(total, V)
+    d = math.factorial(n - l)
+    assert all(c % d == 0 for c in sym.terms.values())
+    return Poly(ring, {k: c // d for k, c in sym.terms.items()}).scale(2**l)
 
 
 def recurrence_q(I: Partition, a: Alphabet, memo: dict) -> Poly:
@@ -144,7 +146,7 @@ def greedy_expand(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
         raise ValueError("alphabets overlap")
     outside = [i for i in range(ring.nvars) if i not in inside]
     work = P
-    out: dict[tuple[Partition, ...], int | Fraction] = {}
+    out: dict[tuple[Partition, ...], int] = {}
     while not work.is_zero():
         lead = work.leading_key()
         exps = ring.unpack(lead)
@@ -342,14 +344,14 @@ def test_schur_p_is_integral_and_symmetric(data):
     ring = Ring([("x", 3)])
     A = Alphabet(ring, ring.block("x"))
     P = schur_p(I, A)
-    assert P.is_integral()
+    assert all(type(c) is int for c in P.terms.values())
     assert is_symmetric(P, ring.block("x"))
     assert schur_q(I, A) == P.scale(2**I.length)
 
 
 @pytest.mark.parametrize(
     "length,coeffs,halved",
-    [(1, (4, 2), (2, 1)), (2, (4, 8), (1, 2)), (2, (4, 2), None), (1, (Fraction(1, 2), 2), None)],
+    [(1, (4, 2), (2, 1)), (2, (4, 8), (1, 2)), (2, (4, 2), None)],
 )
 def test_schur_p_divides_exactly_or_raises(monkeypatch, length, coeffs, halved):
     ring = Ring([("x", 2)])
@@ -650,8 +652,6 @@ def test_pair_expansion_render():
         }
     )
     assert e.render() == "4 * s[2](F)\n-4 * s[1](F) * s[1](E)\n1"
-    assert len(e.scaled(2)) == 3
-    assert e.scaled(0).coeffs == {}
 
 
 def test_difference_split_reassembles():
