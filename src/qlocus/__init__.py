@@ -13,6 +13,7 @@ from .alphabets import Alphabet, ModelContext, VirtualAlphabet, difference, make
 from .gysin import FlagSetup, GrassmannSetup, flag_pushforward, grassmann_pushforward
 from .locus import (
     ClassExpression,
+    FlagModel,
     LocusProblem,
     class_of,
     class_schur_pair_expansion,

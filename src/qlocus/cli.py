@@ -51,6 +51,20 @@ def _twists(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
 
 
+def _attach_twists(argv: list[str]) -> list[str]:
+    """Write ``--e-twists -1,2`` as ``--e-twists=-1,2``: argparse reads a
+    separate value that starts with a dash and is not a plain number as
+    an option, so a list with a negative first twist needs the ``=``."""
+    out: list[str] = []
+    for arg in argv:
+        negative = arg[:1] == "-" and arg[1:2].isdigit()
+        if negative and out and out[-1] in ("--e-twists", "--f-twists"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _bound(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
@@ -170,7 +184,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_twists(argv))
     handlers = {
         "class": cmd_class,
         "chern": cmd_chern,

@@ -215,28 +215,40 @@ def pushforward_degree_factor(e: int, q: int, I: Partition) -> int:
     return math.comb((e - k) // 2, (q - k) // 2)
 
 
-def _pushforward_instance(e: int, q: int):
-    """G^q(E) on a fresh e-variable ring: the setup, c_top(R ⊗ Q), and
-    the alphabets of Q and E."""
-    ring = Ring([("a", e)])
-    setup = GrassmannSetup(ring, tuple(range(e)), q)
-    quotient = Alphabet(ring, tuple(range(q)))
-    ctop_rq = tensor_sum_product(Alphabet(ring, tuple(range(q, e))), quotient)
-    return setup, ctop_rq, quotient, Alphabet(ring, tuple(range(e)))
+class PushforwardInstance:
+    """G^q(E) on its own e-variable ring: the setup, c_top(R ⊗ Q), and
+    the alphabets of Q and E; immutable.  One instance serves every check
+    at (e, q), so the ring memo builds each series and Q-polynomial once."""
+
+    __slots__ = ("e", "q", "setup", "ctop_rq", "quotient", "total")
+
+    def __init__(self, e: int, q: int):
+        ring = Ring([("a", e)])
+        quotient = Alphabet(ring, tuple(range(q)))
+        ctop_rq = tensor_sum_product(Alphabet(ring, tuple(range(q, e))), quotient)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "setup", GrassmannSetup(ring, tuple(range(e)), q))
+        object.__setattr__(self, "ctop_rq", ctop_rq)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "total", Alphabet(ring, tuple(range(e))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PushforwardInstance is immutable")
 
 
-def verify_pushforward_coefficient(I: Partition, e: int, q: int) -> PushforwardCheck:
+def verify_pushforward_coefficient(I: Partition, inst: PushforwardInstance) -> PushforwardCheck:
     """Exercise pi_*(c_top(R ⊗ Q) P_I(Q)) = d P_I(E) on G^q(E) by brute
-    force on a fresh e-variable ring."""
+    force on the instance's ring."""
+    e, q = inst.e, inst.q
     if not I.is_strict() or I.length > q:
         raise ValueError(f"need a strict partition with at most q={q} parts, got {I}")
-    setup, ctop_rq, quotient, total = _pushforward_instance(e, q)
-    computed = grassmann_pushforward(ctop_rq * schur_p(I, quotient), setup)
+    computed = grassmann_pushforward(inst.ctop_rq * schur_p(I, inst.quotient), inst.setup)
     d = pushforward_degree_factor(e, q, I)
-    return PushforwardCheck(e, q, I, d, computed, schur_p(I, total).scale(d))
+    return PushforwardCheck(e, q, I, d, computed, schur_p(I, inst.total).scale(d))
 
 
-def verify_pushforward_special(e: int, q: int, I: Partition) -> tuple[bool, bool]:
+def verify_pushforward_special(inst: PushforwardInstance, I: Partition) -> tuple[bool, bool]:
     """The two boundary cases with their own closed forms:
 
     * length(I) = q:     pi_*(c_top(R ⊗ Q) Q_I(Q)) = Q_I(E)
@@ -245,12 +257,12 @@ def verify_pushforward_special(e: int, q: int, I: Partition) -> tuple[bool, bool
 
     Returns (applicable, ok).
     """
-    setup, ctop_rq, quotient, total = _pushforward_instance(e, q)
+    e, q = inst.e, inst.q
     if I.length == q:
-        lhs = grassmann_pushforward(ctop_rq * schur_q(I, quotient), setup)
-        return True, lhs == schur_q(I, total)
+        lhs = grassmann_pushforward(inst.ctop_rq * schur_q(I, inst.quotient), inst.setup)
+        return True, lhs == schur_q(I, inst.total)
     if I.length == q - 1:
-        lhs = grassmann_pushforward(ctop_rq * schur_p(I, quotient), setup)
-        want = schur_p(I, total) if (e - q) % 2 == 0 else setup.ring.zero
+        lhs = grassmann_pushforward(inst.ctop_rq * schur_p(I, inst.quotient), inst.setup)
+        want = schur_p(I, inst.total) if (e - q) % 2 == 0 else inst.setup.ring.zero
         return True, lhs == want
     return False, True

@@ -317,14 +317,26 @@ class IdentityCheck:
         return self.via_product is None or self.via_product == self.rhs
 
 
-def _flag_model(f: int, p: int, n: int):
-    """The surjection model of ranks (f + n, f), the flag setup, S* and
-    R* - S*."""
-    ctx = make_model("surjection", f + n, f)
-    fs = FlagSetup(ctx.ring.block("f"), ctx.ring.block("k"), p)
-    s_dual = Alphabet(ctx.ring, fs.s_vars(), negated=True)
-    r_dual = Alphabet(ctx.ring, fs.s_vars() + fs.k_vars, negated=True)
-    return ctx, fs, s_dual, difference(r_dual, s_dual)
+class FlagModel:
+    """The surjection model of ranks (f + n, f) with the kernel flag of
+    step p: the model ``ctx``, the flag setup ``flag``, S* and R* - S*;
+    immutable.  One model serves both kinds of :func:`verify_identity`,
+    so the ring memo builds each series and Q-polynomial once."""
+
+    __slots__ = ("ctx", "flag", "s_dual", "rs_diff")
+
+    def __init__(self, f: int, p: int, n: int):
+        ctx = make_model("surjection", f + n, f)
+        flag = FlagSetup(ctx.ring.block("f"), ctx.ring.block("k"), p)
+        s_dual = Alphabet(ctx.ring, flag.s_vars(), negated=True)
+        r_dual = Alphabet(ctx.ring, flag.s_vars() + flag.k_vars, negated=True)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "flag", flag)
+        object.__setattr__(self, "s_dual", s_dual)
+        object.__setattr__(self, "rs_diff", difference(r_dual, s_dual))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FlagModel is immutable")
 
 
 def _identity_integrand(kind: str, f: int, p: int, n: int, s_dual: Alphabet, rs_diff):
@@ -337,9 +349,9 @@ def _identity_integrand(kind: str, f: int, p: int, n: int, s_dual: Alphabet, rs_
     return mult, stair * mult
 
 
-def verify_identity(kind: str, f: int, p: int, n: int, cross_check: bool = False) -> IdentityCheck:
-    """Push two equal integrands down Fl_{f-p, e-p}(F, E) and compare
-    with the closed staircase sum in F* and E* - F*.  For kind "sym", with
+def verify_identity(kind: str, model: FlagModel, cross_check: bool = False) -> IdentityCheck:
+    """Push two equal integrands down Fl_{f-p, e-p}(F, E) of the model
+    and compare with the closed staircase sum in F* and E* - F*.  For kind "sym", with
     all three members multiplied by 2^p so that every coefficient is an
     integer:
 
@@ -360,8 +372,8 @@ def verify_identity(kind: str, f: int, p: int, n: int, cross_check: bool = False
     if kind not in ("sym", "skew"):
         raise ValueError(f"kind must be 'sym' or 'skew', got {kind!r}")
     skew = kind == "skew"
-    e = f + n
-    ctx, fs, s_dual, rs_diff = _flag_model(f, p, n)
+    ctx, fs, s_dual, rs_diff = model.ctx, model.flag, model.s_dual, model.rs_diff
+    f, p, n, e = fs.f, fs.p, fs.n, ctx.e
     mult, member1 = _identity_integrand(kind, f, p, n, s_dual, rs_diff)
     T = Partition(tuple(range(e - p - skew, n - skew, -1)))
     member2 = skew_schur_sum(T, s_dual, rs_diff) * mult

@@ -10,11 +10,14 @@ allows it; every other S-polynomial is a Jacobi-Trudi determinant
 V, or, for a shape with fewer columns than rows, of -V^∨ on the
 conjugate shape.
 
-Q-polynomials are the Pfaffian Q_lam = Pf[Q_(lam_i, lam_j)], with a zero
-part appended when lam has odd length (Macdonald, *Symmetric Functions
-and Hall Polynomials*, III.8 (8.11)), expanded along the first part.
-Its entries come from the one-row series q_i, the complete series of
-A - A^∨:
+A Q-polynomial of a strict lam on n roots with length(lam) >= n - 1 is
+2^length(lam) * prod_{i<j} (a_i + a_j) * s_{lam - delta}, delta =
+(n-1, ..., 0), the staircase factorization (:func:`schur_q`).  Shorter
+ones are the Pfaffian Q_lam = Pf[Q_(lam_i, lam_j)], with a zero part
+appended when lam has odd length (Macdonald, *Symmetric Functions and
+Hall Polynomials*, III.8 (8.11)), expanded along the first part
+(:func:`pfaffian_q`).  Its entries come from the one-row series q_i, the
+complete series of A - A^∨:
 
     Q_(i,j) = q_i q_j + 2 * sum_{p=1..j} (-1)^p q_{i+p} q_{j-p},
 
@@ -137,13 +140,52 @@ def _hook_factor(lam: Partition, v: VirtualAlphabet) -> Poly | None:
 
 
 def schur_q(I: Partition, a: Alphabet) -> Poly:
-    """Q-polynomial of a strict partition on a genuine alphabet, memoized
-    on the parts padded to even length."""
+    """Q-polynomial of a strict partition on a genuine alphabet of n roots.
+
+    A partition longer than n gives 0.  One of length l >= n - 1 is read
+    off the staircase factorization, memoized on its parts:
+
+        Q_lam(A) = 2^l * prod_{i<j} (a_i + a_j) * s_{lam - delta}(A),
+
+    with lam padded to n parts and delta = (n-1, ..., 0).  At such a
+    length every pair i < j enters the symmetrization formula for P_lam
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, III.2 (2.2)
+    at t = -1), so P_lam is the product times the bialternant ratio
+    a_lam / a_delta.  Shorter partitions are the Pfaffian
+    (:func:`pfaffian_q`).
+    """
+    if not isinstance(a, Alphabet):
+        raise TypeError("Q-polynomials are defined for genuine alphabets only")
     if not I.is_strict():
         raise ValueError(f"Q-polynomials are indexed by strict partitions, got {I}")
+    n, l = a.size, I.length
+    if l < n - 1:
+        return pfaffian_q(I, a)
+    ring = a.ring
+    if l > n:
+        return ring.zero
+    key = ("Q", a.sig(), I.parts)
+    got = ring.memo.get(key)
+    if got is None:
+        roots = a.roots()
+        pairs = product(ring, (roots[i] + roots[j] for i in range(n) for j in range(i + 1, n)))
+        shape = Partition(tuple(p - (n - 1 - i) for i, p in enumerate(I.padded(n))))
+        got = ring.memo[key] = (pairs * schur_s(shape, a)).scale(2**l)
+    return got
+
+
+def pfaffian_q(I: Partition, a: Alphabet) -> Poly:
+    """Q_I(A) as the Pfaffian Pf[Q_(I_i, I_j)], expanded along the first
+    part, memoized on the parts padded to even length.  It recurses only
+    into itself and its memo entries are its own, so it never sees the
+    staircase factorization: :func:`schur_q` calls it for the partitions
+    that are too short to factor, and tests and ``verify`` call it as the
+    oracle of the factorization."""
+    if not isinstance(a, Alphabet):
+        raise TypeError("Q-polynomials are defined for genuine alphabets only")
     parts = I.parts + (0,) * (I.length % 2)
     ring = a.ring
-    key = ("Q", a.sig(), parts)
+    key = ("Pf", a.sig(), parts)
     got = ring.memo.get(key)
     if got is not None:
         return got
@@ -159,8 +201,8 @@ def schur_q(I: Partition, a: Alphabet) -> Poly:
     else:
         got = ring.zero
         for p in range(1, len(parts)):
-            head = schur_q(Partition((parts[0], parts[p])), a)
-            term = head * schur_q(Partition(parts[1:p] + parts[p + 1 :]), a)
+            head = pfaffian_q(Partition((parts[0], parts[p])), a)
+            term = head * pfaffian_q(Partition(parts[1:p] + parts[p + 1 :]), a)
             got = got + (term if p % 2 else -term)
     ring.memo[key] = got
     return got

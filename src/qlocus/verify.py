@@ -22,11 +22,13 @@ from .chern import (
 )
 from .gysin import (
     GrassmannSetup,
+    PushforwardInstance,
     grassmann_pushforward,
     verify_pushforward_coefficient,
     verify_pushforward_special,
 )
 from .locus import (
+    FlagModel,
     LocusProblem,
     class_of,
     class_schur_pair_expansion,
@@ -38,7 +40,7 @@ from .locus import (
 )
 from .partitions import Partition, rectangle, staircase, strict_partitions_bounded
 from .polyring import Ring, product
-from .schur import expand_schur_pair, jacobi_trudi, schur_p, schur_q, schur_s
+from .schur import expand_schur_pair, jacobi_trudi, pfaffian_q, schur_p, schur_q, schur_s
 
 
 class CaseResult:
@@ -71,12 +73,13 @@ def suite_schur(max_n: int = 4) -> list[CaseResult]:
             lhs = jacobi_trudi(rectangle(n, m), Partition(), difference(A, B))
             rhs = product(ring, (x - y for x in A.roots() for y in B.roots()))
             out.append(CaseResult("schur.resultant", f"n={n} m={m}", lhs == rhs))
-    # Q/P staircase products
+    # Q/P staircase products, Q on both the factorization and the Pfaffian
     for n in range(1, max_n + 1):
         ring = Ring([("a", n)])
         A = Alphabet(ring, ring.block("a"))
         pq = pair_sum_product(A, strict=False)
-        ok = schur_q(staircase(n), A) == pq and pq == schur_s(staircase(n), A).scale(2**n)
+        ok = schur_q(staircase(n), A) == pq and pfaffian_q(staircase(n), A) == pq
+        ok = ok and pq == schur_s(staircase(n), A).scale(2**n)
         out.append(CaseResult("schur.q-staircase", f"n={n}", ok))
         pp = pair_sum_product(A, strict=True)
         ok = schur_p(staircase(n - 1), A) == pp and pp == schur_s(staircase(n - 1), A)
@@ -93,7 +96,8 @@ def suite_schur(max_n: int = 4) -> list[CaseResult]:
     # staircase factorization on a rank-k alphabet:
     # Q_{rho_k + I}(A) = Q_{rho_k}(A) s_I(A) for l(I) <= k (the Q-version
     # needs the staircase length to match the rank; one row longer, both
-    # sides vanish)
+    # sides vanish), with the left side on the Pfaffian (schur_q would
+    # read it off the factorization)
     for k in range(1, max_n):
         ring = Ring([("a", k)])
         A = Alphabet(ring, ring.block("a"))
@@ -101,12 +105,12 @@ def suite_schur(max_n: int = 4) -> list[CaseResult]:
         for I in [Partition((1,)), Partition((2, 1)), Partition((2, 2)), Partition((3, 1, 1))]:
             if I.length > k:
                 continue
-            lhs = schur_q(staircase(k).add(I), A)
+            lhs = pfaffian_q(staircase(k).add(I), A)
             out.append(
                 CaseResult("schur.stair-factor", f"k={k} I={I}", lhs == base * schur_s(I, A))
             )
         J = Partition((1,) * (k + 1))
-        ok = schur_q(staircase(k).add(J), A).is_zero() and schur_s(J, A).is_zero()
+        ok = pfaffian_q(staircase(k).add(J), A).is_zero() and schur_s(J, A).is_zero()
         out.append(CaseResult("schur.stair-factor-vanish", f"k={k}", ok))
     return out
 
@@ -140,10 +144,12 @@ def suite_chern(max_f: int = 3, max_n: int = 2) -> list[CaseResult]:
 
 def suite_gysin(max_e: int = 5, max_weight: int = 5) -> list[CaseResult]:
     out = []
+    # one instance per (e, q) for both loops
+    inst = {(e, q): PushforwardInstance(e, q) for e in range(1, max_e + 1) for q in range(e + 1)}
     for e in range(1, max_e + 1):
         for q in range(0, e + 1):
             for I in strict_partitions_bounded(max_weight, q, max_weight):
-                chk = verify_pushforward_coefficient(I, e, q)
+                chk = verify_pushforward_coefficient(I, inst[e, q])
                 out.append(
                     CaseResult("gysin.pushforward", f"e={e} q={q} I={I} d={chk.d}", chk.ok)
                 )
@@ -152,7 +158,7 @@ def suite_gysin(max_e: int = 5, max_weight: int = 5) -> list[CaseResult]:
             for I in strict_partitions_bounded(6, q, 6):
                 if I.length not in (q, q - 1) or I.length == 0:
                     continue
-                applicable, ok = verify_pushforward_special(e, q, I)
+                applicable, ok = verify_pushforward_special(inst[e, q], I)
                 if applicable:
                     out.append(CaseResult("gysin.boundary", f"e={e} q={q} I={I}", ok))
     # linearity and the projection formula on a fixed instance
@@ -174,6 +180,13 @@ def suite_gysin(max_e: int = 5, max_weight: int = 5) -> list[CaseResult]:
 
 def suite_locus(max_e: int = 4) -> list[CaseResult]:
     out = []
+    models = {}  # one surjection model per (e, f) for every case below
+
+    def model(e: int, f: int):
+        if (e, f) not in models:
+            models[e, f] = make_model("surjection", e, f)
+        return models[e, f]
+
     worked = {
         (4, 3, 2, "sym"): "Q[2](F) + Q[1](F)*s[1](E-F)",
         (5, 3, 2, "sym"): "Q[3](F) + Q[2](F)*s[1](E-F) + Q[1](F)*s[1,1](E-F)",
@@ -196,20 +209,20 @@ def suite_locus(max_e: int = 4) -> list[CaseResult]:
                     if not (sym == "skew" and r % 2):
                         ok = class_of(prob).term_set() == class_via_mnemonic(prob).term_set()
                         out.append(CaseResult("locus.mnemonic", params, ok))
-                    ctx = make_model("surjection", e, f)
+                    ctx = model(e, f)
                     direct = expression_to_poly(class_of(prob), ctx)
                     pushed = class_via_pushforward(prob, ctx)
                     out.append(CaseResult("locus.pushforward", params, direct == pushed))
     # Porteous: r = f-1 gives s_{e-f+1}(F - E*)
     for e in range(1, max_e + 1):
         for f in range(1, e + 1):
-            ctx = make_model("surjection", e, f)
+            ctx = model(e, f)
             got = expression_to_poly(class_of(LocusProblem(e, f, f - 1, "sym")), ctx)
             want = schur_s(Partition((e - f + 1,)), difference(ctx.F, ctx.E.dual()))
             out.append(CaseResult("locus.porteous", f"e={e} f={f} r={f-1}", got == want))
     # Pfaffian loci: skew, n = 1, r even: s_{rho_{e-r-1}}(E)
     for e, f, r in [(3, 2, 0), (5, 4, 2)]:
-        ctx = make_model("surjection", e, f)
+        ctx = model(e, f)
         got = expression_to_poly(class_of(LocusProblem(e, f, r, "skew")), ctx)
         out.append(
             CaseResult("locus.pfaffian", f"e={e} f={f} r={r}", got == schur_s(staircase(e - r - 1), ctx.E))
@@ -244,8 +257,9 @@ def suite_identities(max_f: int = 4, max_p: int = 1, max_n: int = 1) -> list[Cas
             if 2 * p >= f:
                 continue
             for n in range(0, max_n + 1):
+                flag_model = FlagModel(f, p, n)
                 for kind in ("sym", "skew"):
-                    chk = verify_identity(kind, f, p, n)
+                    chk = verify_identity(kind, flag_model)
                     out.append(CaseResult(f"identity.{kind}", f"f={f} p={p} n={n}", chk.ok))
     return out
 

@@ -18,10 +18,12 @@ from qlocus.chern import (
     ctop_wedge_skew,
 )
 from qlocus.gysin import (
+    PushforwardInstance,
     verify_pushforward_coefficient,
     verify_pushforward_special,
 )
 from qlocus.locus import (
+    FlagModel,
     LocusProblem,
     class_of,
     class_schur_pair_expansion,
@@ -38,7 +40,8 @@ from qlocus.partitions import (
     subpartitions,
 )
 from qlocus.polyring import Ring, product
-from qlocus.schur import jacobi_trudi, schur_p, schur_q, schur_s
+from qlocus.schur import jacobi_trudi, pfaffian_q, schur_p, schur_q, schur_s
+from qlocus.verify import run_suites
 
 
 @contextlib.contextmanager
@@ -133,15 +136,17 @@ def test_criterion_4_pushforward_coefficients():
     with criterion(4, "pushforward-coefficients", 300.0):
         for e in range(1, 7):
             for q in range(0, e + 1):
+                inst = PushforwardInstance(e, q)
                 for I in strict_partitions_bounded(5, q, 5):
-                    chk = verify_pushforward_coefficient(I, e, q)
+                    chk = verify_pushforward_coefficient(I, inst)
                     assert chk.ok, (e, q, I, chk.d)
         # boundary shapes with their own closed forms
         for e in range(1, 6):
             for q in range(1, e + 1):
+                inst = PushforwardInstance(e, q)
                 for I in strict_partitions_bounded(6, q, 6):
                     if I.length in (q, q - 1):
-                        applicable, ok = verify_pushforward_special(e, q, I)
+                        applicable, ok = verify_pushforward_special(inst, I)
                         assert applicable and ok, (e, q, I)
 
 
@@ -155,8 +160,9 @@ def test_criterion_5_flag_pushforward_identities():
         ]
         cases.append((5, 2, 0))
         for f, p, n in cases:
-            assert verify_identity("sym", f, p, n).ok, ("sym", f, p, n)
-            assert verify_identity("skew", f, p, n).ok, ("skew", f, p, n)
+            model = FlagModel(f, p, n)
+            assert verify_identity("sym", model).ok, ("sym", f, p, n)
+            assert verify_identity("skew", model).ok, ("skew", f, p, n)
 
 
 def test_criterion_6_projective_degrees():
@@ -232,16 +238,19 @@ def test_criterion_8_classical_specializations():
                     assert lhs == jacobi_trudi(R, Partition(), v) * schur_s(I, A)
 
         # staircase factorization on a matching-rank alphabet, with the
-        # vanishing just past the boundary
+        # vanishing just past the boundary; schur_q reads these shapes off
+        # the factorization of Q itself, so the Pfaffian checks it
         for k in (1, 2, 3):
             ring = Ring([("x", k)])
             A = Alphabet(ring, ring.block("x"))
             for I in subpartitions(rectangle(k, 2)):
-                lhs = schur_q(staircase(k).add(I), A)
-                assert lhs == schur_q(staircase(k), A) * schur_s(I, A)
+                rhs = schur_q(staircase(k), A) * schur_s(I, A)
+                assert schur_q(staircase(k).add(I), A) == rhs
+                assert pfaffian_q(staircase(k).add(I), A) == rhs
         ring = Ring([("x", 2)])
         A = Alphabet(ring, ring.block("x"))
         assert schur_q(staircase(2).add(Partition((1, 1, 1))), A).is_zero()
+        assert pfaffian_q(staircase(2).add(Partition((1, 1, 1))), A).is_zero()
 
         # staircase Q as a product of root sums
         for n in range(1, 5):
@@ -256,6 +265,7 @@ def test_criterion_8_classical_specializations():
                 ),
             )
             assert schur_q(staircase(n), A) == expected
+            assert pfaffian_q(staircase(n), A) == expected
 
         # resultant form of the full rectangle, on the determinant
         for n in range(1, 4):
@@ -289,3 +299,12 @@ def test_criterion_9_porteous_and_pfaffian():
             ctx = make_model("surjection", e, f)
             got = expression_to_poly(class_of(LocusProblem(e, f, r, "skew")), ctx)
             assert got == schur_s(staircase(e - r - 1), ctx.E), (e, f, r)
+
+
+def test_criterion_10_verify_locus_at_rank_6():
+    # the locus suite at e <= 6: every class, push-forward and Porteous
+    # case on rank-6 alphabets (about 1 s; 16 to 18 s before Q-polynomials
+    # of length >= f - 1 were factored and the models shared)
+    with criterion(10, "verify-locus-e6", 10.0):
+        results = run_suites(["locus"], max_e=6)
+        assert results and all(c.ok for c in results), [c.render() for c in results if not c.ok]

@@ -16,7 +16,7 @@ from qlocus.chern import (
     skew_schur_sum,
     tensor_sum_product,
 )
-from qlocus.locus import _flag_model
+from qlocus.locus import FlagModel
 from qlocus.partitions import Partition, subpartitions
 from qlocus.polyring import Ring, product
 from qlocus.schur import jacobi_trudi
@@ -167,7 +167,8 @@ _FLAG_CASES = [(f, p, n) for f in range(1, 5) for p in range(0, min(1, (f - 1) /
 @pytest.mark.parametrize("f,p,n", _FLAG_CASES + [(5, 2, 0)])
 def test_skew_schur_sum_matches_the_literal_sum_on_the_flag_model(f, p, n):
     e = f + n
-    _, _, s_dual, rs_diff = _flag_model(f, p, n)
+    model = FlagModel(f, p, n)
+    s_dual, rs_diff = model.s_dual, model.rs_diff
     for T in (_skew_shapes(e - p, n + 1), _skew_shapes(e - p - 1, n)):
         assert skew_schur_sum(T, s_dual, rs_diff) == literal_skew_schur_sum(T, s_dual, rs_diff), T
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qlocus.cli import main
+from test_locus import generic_degree
 
 
 def run(capsys, *argv):
@@ -100,6 +101,22 @@ def test_degree_line(capsys):
     )
     assert code == 0
     assert out == "codim=1 degree=4\n"
+
+
+@pytest.mark.parametrize(
+    "twists,e_twists,f_twists",
+    [
+        (["--e-twists", "-1,2", "--f-twists", "3"], (-1, 2), (3,)),
+        (["--e-twists=-1,2", "--f-twists", "3"], (-1, 2), (3,)),
+        (["--e-twists", "2,-1", "--f-twists", "-3,1"], (2, -1), (-3, 1)),
+        (["--f-twists", "-3,1", "--e-twists", "-1,2"], (-1, 2), (-3, 1)),
+    ],
+)
+def test_degree_accepts_a_negative_first_twist(capsys, twists, e_twists, f_twists):
+    code, out, err = run(capsys, "degree", *twists, "--r", "0", "--symmetry", "sym")
+    codim, degree = generic_degree(e_twists, f_twists, 0, "sym")
+    assert (code, err) == (0, "")
+    assert out == f"codim={codim} degree={degree}\n"
 
 
 def test_expand_command(capsys):

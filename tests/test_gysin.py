@@ -8,6 +8,7 @@ from qlocus.gysin import (
     BlockSymmetryError,
     FlagSetup,
     GrassmannSetup,
+    PushforwardInstance,
     RepeatedPushforward,
     flag_pushforward,
     grassmann_pushforward,
@@ -15,7 +16,7 @@ from qlocus.gysin import (
     verify_pushforward_coefficient,
     verify_pushforward_special,
 )
-from qlocus.partitions import Partition, rectangle, subpartitions
+from qlocus.partitions import Partition, rectangle, strict_partitions_bounded, subpartitions
 from qlocus.polyring import Ring, apply_permutation, exact_div, is_symmetric, product
 from qlocus.schur import schur_s
 
@@ -207,30 +208,60 @@ def test_degree_factor_values():
     ],
 )
 def test_pushforward_coefficient_formula(e, q, parts):
-    chk = verify_pushforward_coefficient(Partition(parts), e, q)
+    chk = verify_pushforward_coefficient(Partition(parts), PushforwardInstance(e, q))
     assert chk.ok, (e, q, parts, chk.d)
 
 
 def test_pushforward_coefficient_rejects_bad_shapes():
+    inst = PushforwardInstance(4, 2)
     with pytest.raises(ValueError):
-        verify_pushforward_coefficient(Partition((2, 2)), 4, 2)
+        verify_pushforward_coefficient(Partition((2, 2)), inst)
     with pytest.raises(ValueError):
-        verify_pushforward_coefficient(Partition((3, 2, 1)), 4, 2)
+        verify_pushforward_coefficient(Partition((3, 2, 1)), inst)
 
 
 def test_pushforward_special_cases():
     # full-length I keeps the Q-polynomial on the nose
-    applicable, ok = verify_pushforward_special(3, 1, Partition((2,)))
+    applicable, ok = verify_pushforward_special(PushforwardInstance(3, 1), Partition((2,)))
     assert applicable and ok
-    applicable, ok = verify_pushforward_special(4, 2, Partition((3, 1)))
+    applicable, ok = verify_pushforward_special(PushforwardInstance(4, 2), Partition((3, 1)))
     assert applicable and ok
     # one-short I: survives for even e - q, dies for odd
-    applicable, ok = verify_pushforward_special(4, 2, Partition((2,)))
+    applicable, ok = verify_pushforward_special(PushforwardInstance(4, 2), Partition((2,)))
     assert applicable and ok
-    applicable, ok = verify_pushforward_special(4, 1, Partition(()))
+    applicable, ok = verify_pushforward_special(PushforwardInstance(4, 1), Partition(()))
     assert applicable and ok
-    applicable, ok = verify_pushforward_special(4, 2, Partition(()))
+    applicable, ok = verify_pushforward_special(PushforwardInstance(4, 2), Partition(()))
     assert not applicable and ok
+
+
+def test_a_shared_instance_gives_the_fresh_results():
+    # both kinds of check on one instance per (e, q), as the gysin suite
+    # runs them, against a fresh instance per check: the ring memo must
+    # never serve one check's series or Q-polynomials to another
+    for e in range(1, 5):
+        for q in range(e + 1):
+            shared = PushforwardInstance(e, q)
+            for I in strict_partitions_bounded(4, q, 4):
+                got = verify_pushforward_coefficient(I, shared)
+                fresh = verify_pushforward_coefficient(I, PushforwardInstance(e, q))
+                assert got.ok and fresh.ok, (e, q, I)
+                assert got.computed.terms == fresh.computed.terms, (e, q, I)
+                assert got.expected.terms == fresh.expected.terms, (e, q, I)
+            for I in strict_partitions_bounded(5, q, 5):
+                if I.length in (q, q - 1):
+                    got = verify_pushforward_special(shared, I)
+                    assert got == verify_pushforward_special(PushforwardInstance(e, q), I)
+                    assert got == (True, True), (e, q, I)
+
+
+def test_pushforward_instance_parts():
+    inst = PushforwardInstance(4, 1)
+    assert (inst.e, inst.q) == (4, 1)
+    assert inst.setup == GrassmannSetup(inst.setup.ring, (0, 1, 2, 3), 1)
+    assert inst.quotient.variables == (0,) and inst.total.variables == (0, 1, 2, 3)
+    a = [inst.setup.ring.variable(i) for i in range(4)]
+    assert inst.ctop_rq == (a[1] + a[0]) * (a[2] + a[0]) * (a[3] + a[0])
 
 
 def test_flag_setup_validation_and_parts():

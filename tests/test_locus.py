@@ -5,6 +5,7 @@ from qlocus import locus, polyring
 from qlocus.alphabets import VirtualAlphabet, make_model
 from qlocus.locus import (
     ClassExpression,
+    FlagModel,
     IdentityCheck,
     LocusProblem,
     class_of,
@@ -306,32 +307,65 @@ def test_projective_degree_with_mixed_twists():
 
 @pytest.mark.parametrize("f,p,n", [(1, 0, 0), (1, 0, 1), (2, 0, 1), (3, 1, 0), (3, 1, 1)])
 def test_identity_members_sym(f, p, n):
-    chk = verify_identity("sym", f, p, n)
+    chk = verify_identity("sym", FlagModel(f, p, n))
     assert chk.ok, (f, p, n)
 
 
 @pytest.mark.parametrize("f,p,n", [(1, 0, 0), (1, 0, 1), (2, 0, 1), (3, 1, 0), (3, 1, 1)])
 def test_identity_members_skew(f, p, n):
-    chk = verify_identity("skew", f, p, n)
+    chk = verify_identity("skew", FlagModel(f, p, n))
     assert chk.ok, (f, p, n)
 
 
 def test_identity_cross_check_via_product_of_grassmannians():
-    chk = verify_identity("sym", 3, 1, 1, cross_check=True)
+    model = FlagModel(3, 1, 1)
+    chk = verify_identity("sym", model, cross_check=True)
     assert chk.via_product is not None
     assert chk.ok
-    chk = verify_identity("skew", 3, 1, 1, cross_check=True)
+    chk = verify_identity("skew", model, cross_check=True)
     assert chk.via_product is not None
     assert chk.ok
+
+
+def test_a_shared_flag_model_gives_the_fresh_results():
+    # both kinds on one flag model, as the identities suite runs them,
+    # against a fresh model per kind
+    for f, p, n in [(1, 0, 1), (2, 0, 1), (3, 1, 0), (3, 1, 1), (4, 1, 1)]:
+        shared = FlagModel(f, p, n)
+        for kind in ("sym", "skew"):
+            got = verify_identity(kind, shared)
+            fresh = verify_identity(kind, FlagModel(f, p, n))
+            assert got.ok and fresh.ok, (kind, f, p, n)
+            for member in ("lhs", "middle", "rhs"):
+                assert getattr(got, member).terms == getattr(fresh, member).terms, (kind, f, p, n)
+
+
+def test_a_shared_model_gives_the_fresh_results():
+    # every rank bound and symmetry on one surjection model per (e, f), as
+    # the locus suite runs them, against a fresh model per problem
+    for e in range(1, 5):
+        for f in range(1, e + 1):
+            shared = make_model("surjection", e, f)
+            for r in range(f + 1):
+                for sym in ("sym", "skew"):
+                    if sym == "skew" and e == f and r % 2:
+                        continue
+                    prob = LocusProblem(e, f, r, sym)
+                    fresh = make_model("surjection", e, f)
+                    direct = expression_to_poly(class_of(prob), shared)
+                    pushed = class_via_pushforward(prob, shared)
+                    assert direct == pushed, (e, f, r, sym)
+                    assert direct.terms == expression_to_poly(class_of(prob), fresh).terms
+                    assert pushed.terms == class_via_pushforward(prob, fresh).terms
 
 
 def test_identity_rejects_an_unknown_kind():
     with pytest.raises(ValueError):
-        verify_identity("Sym", 2, 0, 1)
+        verify_identity("Sym", FlagModel(2, 0, 1))
 
 
 def test_identity_check_flags_mismatch():
-    chk = verify_identity("sym", 2, 0, 1)
+    chk = verify_identity("sym", FlagModel(2, 0, 1))
     bad = IdentityCheck(
         chk.kind, chk.f, chk.p, chk.n, chk.lhs, chk.middle, chk.rhs + 1
     )

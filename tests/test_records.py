@@ -6,8 +6,14 @@ and every constructor takes keywords and keeps its defaults."""
 import pytest
 
 from qlocus.alphabets import Alphabet, VirtualAlphabet
-from qlocus.gysin import FlagSetup, GrassmannSetup, PushforwardCheck, RepeatedPushforward
-from qlocus.locus import ClassExpression, IdentityCheck, LocusProblem
+from qlocus.gysin import (
+    FlagSetup,
+    GrassmannSetup,
+    PushforwardCheck,
+    PushforwardInstance,
+    RepeatedPushforward,
+)
+from qlocus.locus import ClassExpression, FlagModel, IdentityCheck, LocusProblem
 from qlocus.partitions import Partition
 from qlocus.polyring import Ring
 from qlocus.verify import CaseResult, run_suites
@@ -25,6 +31,8 @@ FROZEN = [
     (LocusProblem(4, 3, 2, "sym"), "r"),
     (ClassExpression("Q", ()), "kind"),
     (CaseResult("schur.resultant", "n=1 m=1", True), "ok"),
+    (PushforwardInstance(3, 1), "ctop_rq"),
+    (FlagModel(2, 0, 1), "rs_diff"),
 ]
 
 

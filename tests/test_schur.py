@@ -25,6 +25,7 @@ from qlocus.schur import (
     expand_schur_basis,
     expand_schur_pair,
     jacobi_trudi,
+    pfaffian_q,
     schur_difference_split,
     schur_p,
     schur_q,
@@ -294,6 +295,57 @@ def test_schur_q_matches_the_recurrence(problem):
     assert schur_q(I, A) == recurrence_q(I, A, {})
 
 
+@st.composite
+def _factorizable_q_problems(draw):
+    """An alphabet of 0 to 4 roots, variables or numbers, plain or dual,
+    and a strict partition of length n - 1, n or n + 1 (n roots) with
+    parts up to 7: the lengths around the factorization threshold."""
+    nvars = draw(st.integers(0, 4))
+    values = draw(st.lists(st.integers(-3, 3), max_size=4 - nvars))
+    n = nvars + len(values)
+    length = draw(st.sampled_from([l for l in (n - 1, n, n + 1) if l >= 0]))
+    parts = draw(st.sets(st.integers(1, 7), min_size=length, max_size=length))
+    ring = Ring([("x", nvars)])
+    A = Alphabet(ring, ring.block("x"), draw(st.booleans()), tuple(values))
+    return Partition(sorted(parts, reverse=True)), A
+
+
+@given(_factorizable_q_problems())
+def test_schur_q_factorization_matches_the_pfaffian(problem):
+    I, A = problem
+    assert schur_q(I, A) == pfaffian_q(I, A)
+
+
+def test_schur_q_factors_every_partition_of_length_n_minus_1_or_more(monkeypatch):
+    # on three roots, lengths 2 and 3 are read off the factorization and
+    # length 4 is zero: none of them builds a Pfaffian
+    ring = Ring([("x", 3)])
+    A = Alphabet(ring, ring.block("x"))
+    shapes = [(2, 1), (5, 2), (3, 2, 1), (6, 3, 1), (4, 3, 2, 1)]
+    want = {Partition(parts): pfaffian_q(Partition(parts), A) for parts in shapes}
+
+    def refuse(I, a):
+        raise AssertionError(f"Pfaffian built for {I}")
+
+    monkeypatch.setattr(schur, "pfaffian_q", refuse)
+    for I, value in want.items():
+        assert schur_q(I, A) == value, I
+    assert schur_q(Partition((4, 3, 2, 1)), A).is_zero()
+    with pytest.raises(AssertionError):
+        schur_q(Partition((1,)), A)
+
+
+def test_schur_q_refuses_a_virtual_alphabet():
+    # Q_∅ included: it used to return 1 while every other shape raised
+    ring = Ring([("x", 2)])
+    V = VirtualAlphabet((Alphabet(ring, ring.block("x")),))
+    for parts in [(), (1,), (2, 1), (3, 2, 1)]:
+        with pytest.raises(TypeError):
+            schur_q(Partition(parts), V)
+        with pytest.raises(TypeError):
+            pfaffian_q(Partition(parts), V)
+
+
 def test_schur_q_hand_value():
     # Q_{(2,1)}(x, y) = 4xy(x + y)
     ring = Ring([("x", 2)])
@@ -392,6 +444,7 @@ def test_staircase_q_is_a_product_of_root_sums():
             ],
         )
         assert schur_q(staircase(n), A) == expected
+        assert pfaffian_q(staircase(n), A) == expected
         assert schur_q(staircase(n), A) == schur_s(staircase(n), A).scale(2**n)
 
 
@@ -420,11 +473,13 @@ def test_staircase_plus_partition_factors_on_matching_rank():
         ring = Ring([("x", k)])
         A = Alphabet(ring, ring.block("x"))
         for I in subpartitions(rectangle(k, 2)):
-            lhs = schur_q(staircase(k).add(I), A)
-            assert lhs == schur_q(staircase(k), A) * schur_s(I, A), (k, I)
+            rhs = schur_q(staircase(k), A) * schur_s(I, A)
+            assert schur_q(staircase(k).add(I), A) == rhs, (k, I)
+            assert pfaffian_q(staircase(k).add(I), A) == rhs, (k, I)
     ring = Ring([("x", 2)])
     A = Alphabet(ring, ring.block("x"))
     assert schur_q(staircase(2).add(Partition((1, 1, 1))), A).is_zero()
+    assert pfaffian_q(staircase(2).add(Partition((1, 1, 1))), A).is_zero()
 
 
 def test_rectangle_plus_partition_factors_on_difference():
