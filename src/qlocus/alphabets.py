@@ -1,4 +1,5 @@
-"""Alphabets of Chern roots and their generating series.
+"""Alphabets of Chern roots, their generating series and the products of
+root sums (:func:`pair_sum_product`, :func:`tensor_sum_product`).
 
 An :class:`Alphabet` is an ordered tuple of ring variables and root
 values, optionally with all signs flipped (the roots of a dual bundle).  A
@@ -19,7 +20,7 @@ on :meth:`sig` instead.
 """
 from __future__ import annotations
 
-from .polyring import Poly, Ring
+from .polyring import Poly, Ring, product
 
 
 class Alphabet:
@@ -161,6 +162,24 @@ def q_sym(i: int, a: Alphabet) -> Poly:
     if not isinstance(a, Alphabet):
         raise TypeError("Q-functions are defined for genuine alphabets only")
     return complete_sym(i, difference(a, a.dual()))
+
+
+def pair_sum_product(a: Alphabet, strict: bool) -> Poly:
+    """Product of (a_i + a_j) over i < j (strict) or i <= j."""
+    roots = a.roots()
+    return product(
+        a.ring,
+        (
+            roots[i] + roots[j]
+            for i in range(len(roots))
+            for j in range(i + 1 if strict else i, len(roots))
+        ),
+    )
+
+
+def tensor_sum_product(a: Alphabet, b: Alphabet) -> Poly:
+    """Product of (a_i + b_j) over all root pairs."""
+    return product(a.ring, (x + y for x in a.roots() for y in b.roots()))
 
 
 class ModelContext:

@@ -15,9 +15,9 @@ alternating cousin with i < j.
 """
 from __future__ import annotations
 
-from .alphabets import Alphabet, ModelContext, difference
+from .alphabets import Alphabet, ModelContext, difference, pair_sum_product, tensor_sum_product
 from .partitions import Partition, complement_conjugate, rectangle_partitions, staircase
-from .polyring import Poly, product
+from .polyring import Poly
 from .schur import schur_p, schur_q, schur_s
 
 
@@ -117,24 +117,6 @@ def ctop_wedge_skew(ctx: ModelContext) -> Poly:
     s_{rho_{f-1}}(F) by the hook factorization, since T_f = n."""
     T = Partition(tuple(range(ctx.e - 1, ctx.n - 1, -1)))
     return skew_schur_sum(T, ctx.F, ctx.e_minus_f())
-
-
-def pair_sum_product(a: Alphabet, strict: bool) -> Poly:
-    """Product of (a_i + a_j) over i < j (strict) or i <= j."""
-    roots = a.roots()
-    return product(
-        a.ring,
-        (
-            roots[i] + roots[j]
-            for i in range(len(roots))
-            for j in range(i + 1 if strict else i, len(roots))
-        ),
-    )
-
-
-def tensor_sum_product(a: Alphabet, b: Alphabet) -> Poly:
-    """Product of (a_i + b_j) over all root pairs."""
-    return product(a.ring, (x + y for x in a.roots() for y in b.roots()))
 
 
 def ctop_product_oracle(ctx: ModelContext, kind: str) -> Poly:

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .alphabets import Alphabet
-from .chern import tensor_sum_product
+from .alphabets import Alphabet, tensor_sum_product
 from .partitions import Partition
 from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric
 from .schur import schur_p, schur_q

@@ -16,15 +16,8 @@ expansion over independent E and F round out the interfaces.
 """
 from __future__ import annotations
 
-from .alphabets import Alphabet, ModelContext, difference, make_model
-from .chern import (
-    ctop_sym2,
-    ctop_wedge2,
-    skew_schur_sum,
-    staircase_schur_sum,
-    staircase_terms,
-    tensor_sum_product,
-)
+from .alphabets import Alphabet, ModelContext, difference, make_model, tensor_sum_product
+from .chern import ctop_sym2, ctop_wedge2, skew_schur_sum, staircase_schur_sum, staircase_terms
 from .gysin import FlagSetup, GrassmannSetup, flag_pushforward, grassmann_pushforward
 from .partitions import Partition, rectangle_partitions, staircase
 from .polyring import Poly, Ring

@@ -108,17 +108,14 @@ class Partition:
         return all(self.part(i + 1) >= p for i, p in enumerate(other.parts))
 
     def add(self, other: "Partition") -> "Partition":
-        """Componentwise sum of the zero-padded part vectors."""
+        """Componentwise sum of the zero-padded part vectors, a partition
+        since a sum of weakly decreasing sequences is weakly decreasing."""
         n = max(len(self.parts), len(other.parts))
-        s = tuple(self.part(i) + other.part(i) for i in range(1, n + 1))
-        for a, b in zip(s, s[1:]):
-            if a < b:  # impossible for two valid partitions; kept as a guard
-                raise ValueError(f"sum of {self} and {other} is not a partition")
-        return Partition(s)
+        return Partition(tuple(self.part(i) + other.part(i) for i in range(1, n + 1)))
 
     def is_strict(self) -> bool:
         """All parts distinct (and positive)."""
-        return all(a > b for a, b in zip(self.parts, self.parts[1:] + (0,))) or not self.parts
+        return all(a > b for a, b in zip(self.parts, self.parts[1:] + (0,)))
 
     def remove_part(self, i: int) -> "Partition":
         """Partition with the i-th part (1-based) deleted."""

@@ -1,27 +1,30 @@
 """Exact sparse multivariate polynomials over the integers.
 
 Variables live in named blocks declared once per :class:`Ring` (one ring
-per computation).  A monomial is stored as a single integer with six bits
-per variable, so multiplying monomials is integer addition; coefficients
-are Python ints, the one coefficient type.  Every class computed here is
+per computation).  A monomial is stored as a single integer with a field
+of seven bits per variable, six exponent bits and a guard bit above them,
+so multiplying monomials is integer addition; coefficients are Python
+ints, the one coefficient type.  Every class computed here is
 an integer polynomial, so a coefficient of any other type (a float, a
 rational) is refused with ``TypeError`` rather than carried along.
 
 The term order everywhere (leading terms, canonical rendering, exact
 division) is graded reverse lexicographic with respect to the global
 variable order, larger degrees first.  Its sort key is
-(degree, -packed key): the last variable sits in the top six bits, so
+(degree, -packed key): the last variable sits in the top field, so
 comparing packed keys as integers compares (e_{n-1}, ..., e_0)
 lexicographically, and no key is unpacked to sort.
 
-A product of nonzero polynomials carries its total degree, deg P + deg Q
-(exact, as Z[x] is a domain); negation and nonzero scaling keep it.  So
-the overflow guard of the next product does not rescan the terms.
+Every exponent is at most MAX_EXP = 63, so a valid key sets no bit
+outside ``Ring.fields``, the ring's exponent bits.  Two exponents of at
+most 63 add up to at most 126 < 2^7, so the sum of two valid keys never
+carries into the next field, and a product passes the bound exactly when
+one of its keys sets a guard bit.
 """
 from __future__ import annotations
 
-SHIFT = 6                 # bits per exponent field
-MAX_EXP = (1 << SHIFT) - 1  # 63; enough for every computation done here
+SHIFT = 7                       # bits per exponent field, the top one a guard bit
+MAX_EXP = (1 << (SHIFT - 1)) - 1  # 63; enough for every computation done here
 
 
 class NonDivisibleError(ArithmeticError):
@@ -33,20 +36,6 @@ def _int(c) -> int:
     if type(c) is not int:
         raise TypeError(f"polynomial coefficients are ints, got {type(c).__name__}")
     return c
-
-
-def _max_exponents(P: "Poly") -> list[int]:
-    """Largest exponent of each variable over the terms of ``P``."""
-    top = [0] * P.ring.nvars
-    for k in P.terms:
-        i = 0
-        while k:
-            e = k & MAX_EXP
-            if e > top[i]:
-                top[i] = e
-            k >>= SHIFT
-            i += 1
-    return top
 
 
 class Ring:
@@ -72,10 +61,13 @@ class Ring:
                 self.names.extend(f"{name}{i + 1}" for i in range(size))
             pos += size
         self.nvars = pos
+        self.fields = sum(MAX_EXP << (SHIFT * i) for i in range(pos))  # the valid exponent bits
         self.zero = Poly(self, {})
         self.one = Poly(self, {0: 1})
         self._vcache = [Poly(self, {1 << (SHIFT * i): 1}) for i in range(pos)]
-        self.memo: dict = {}  # alphabets/schur memo: "h" complete series, "Q" Pfaffian entries
+        # alphabets/schur memo: "h" complete series, "Q" staircase-factored
+        # and "Pf" Pfaffian Q-polynomials
+        self.memo: dict = {}
 
     def block(self, name: str) -> tuple[int, ...]:
         return self.blocks[name]
@@ -87,7 +79,12 @@ class Ring:
         return Poly(self, {0: c} if _int(c) else {})
 
     def poly(self, terms: dict) -> "Poly":
-        """Canonicalize a raw {packed key: int coefficient} mapping."""
+        """Canonicalize a raw {packed key: int coefficient} mapping; a key
+        that is negative, reaches past the last variable or has a guard
+        bit set is refused."""
+        invalid = ~self.fields
+        if any(k & invalid for k in terms):
+            raise ValueError("not a packed key of this ring")
         return Poly(self, {k: c for k, c in terms.items() if c})
 
     def monomial(self, exps, c=1) -> "Poly":
@@ -130,12 +127,11 @@ class Poly:
     """Sparse polynomial; ``terms`` maps packed monomial keys to nonzero
     int coefficients.  Instances are treated as immutable."""
 
-    __slots__ = ("ring", "terms", "_deg")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
         self.terms = terms
-        self._deg = None
 
     # -- predicates ----------------------------------------------------
 
@@ -171,9 +167,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        P = Poly(self.ring, {k: -c for k, c in self.terms.items()})
-        P._deg = self._deg
-        return P
+        return Poly(self.ring, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -188,20 +182,13 @@ class Poly:
     def scale(self, c) -> "Poly":
         if not _int(c):
             return self.ring.zero
-        P = Poly(self.ring, {k: v * c for k, v in self.terms.items()})
-        P._deg = self._deg
-        return P
+        return Poly(self.ring, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other) if isinstance(other, int) else NotImplemented
         if other.ring is not self.ring:
             raise ValueError("polynomials of different rings")
-        deg = self.total_degree() + other.total_degree()
-        if deg > MAX_EXP and any(
-            x + y > MAX_EXP for x, y in zip(_max_exponents(self), _max_exponents(other))
-        ):
-            raise OverflowError("product exponent exceeds the packed-exponent bound")
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
@@ -215,10 +202,11 @@ class Poly:
                     out[k] = v
                 else:
                     del out[k]
-        P = Poly(self.ring, out)
-        if out:
-            P._deg = deg  # exact: Z[x] is a domain, so the top-degree parts cannot cancel
-        return P
+        # exact: the top power of each variable in a product cannot cancel in Z[x]
+        invalid = ~self.ring.fields
+        if any(k & invalid for k in out):
+            raise OverflowError("product exponent exceeds the packed-exponent bound")
+        return Poly(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -239,10 +227,7 @@ class Poly:
 
     def total_degree(self) -> int:
         """Maximum total degree of a term; -1 for the zero polynomial."""
-        if self._deg is None:
-            kd = self.ring.key_degree
-            self._deg = max((kd(k) for k in self.terms), default=-1)
-        return self._deg
+        return max(map(self.ring.key_degree, self.terms), default=-1)
 
     def leading_key(self) -> int:
         if not self.terms:

@@ -29,7 +29,15 @@ off the terms of the input by straightening (see :func:`_straighten`).
 """
 from __future__ import annotations
 
-from .alphabets import Alphabet, VirtualAlphabet, _as_virtual, complete_series, q_sym
+from .alphabets import (
+    Alphabet,
+    VirtualAlphabet,
+    _as_virtual,
+    complete_series,
+    pair_sum_product,
+    q_sym,
+    tensor_sum_product,
+)
 from .partitions import Partition, subpartitions
 from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric, product
 
@@ -131,9 +139,7 @@ def _hook_factor(lam: Partition, v: VirtualAlphabet) -> Poly | None:
         return None
     P = VirtualAlphabet(v.pos)
     minus_N = VirtualAlphabet((), v.neg)
-    resultant = product(
-        v.ring, (x - y for xs in v.pos for x in xs.roots() for ys in v.neg for y in ys.roots())
-    )
+    resultant = product(v.ring, (tensor_sum_product(xs, ys.dual()) for xs in v.pos for ys in v.neg))
     alpha = Partition(tuple(p - b for p in lam.parts[:a]))
     beta = Partition(lam.parts[a:])
     return resultant * schur_s(alpha, P) * schur_s(beta, minus_N)
@@ -167,10 +173,8 @@ def schur_q(I: Partition, a: Alphabet) -> Poly:
     key = ("Q", a.sig(), I.parts)
     got = ring.memo.get(key)
     if got is None:
-        roots = a.roots()
-        pairs = product(ring, (roots[i] + roots[j] for i in range(n) for j in range(i + 1, n)))
         shape = Partition(tuple(p - (n - 1 - i) for i, p in enumerate(I.padded(n))))
-        got = ring.memo[key] = (pairs * schur_s(shape, a)).scale(2**l)
+        got = ring.memo[key] = (pair_sum_product(a, strict=True) * schur_s(shape, a)).scale(2**l)
     return got
 
 
@@ -214,9 +218,7 @@ def schur_p(I: Partition, a: Alphabet) -> Poly:
     d = 2**I.length
     if any(c % d for c in Q.terms.values()):
         raise ArithmeticError(f"P-polynomial {I} came out non-integral")
-    out = Poly(a.ring, {k: c // d for k, c in Q.terms.items()})
-    out._deg = Q._deg
-    return out
+    return Poly(a.ring, {k: c // d for k, c in Q.terms.items()})
 
 
 # -- expansions -------------------------------------------------------
@@ -245,9 +247,7 @@ def _straighten(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
     inside = [v for a in alphabets for v in a.variables]
     if len(set(inside)) < len(inside):
         raise ValueError("alphabets overlap")
-    outside = 0
-    for i in set(range(ring.nvars)) - set(inside):
-        outside |= MAX_EXP << (SHIFT * i)
+    outside = ring.fields - sum(MAX_EXP << (SHIFT * v) for v in inside)
     if any(k & outside for k in P.terms):
         raise ValueError("polynomial involves variables outside the alphabets")
     for a in alphabets:

@@ -7,7 +7,7 @@ them into ``CASE <name> <params> : PASS/FAIL`` lines.
 """
 from __future__ import annotations
 
-from .alphabets import Alphabet, difference, make_model
+from .alphabets import Alphabet, difference, make_model, pair_sum_product, tensor_sum_product
 from .chern import (
     ctop_product_oracle,
     ctop_sym2,
@@ -17,8 +17,6 @@ from .chern import (
     ctop_wedge,
     ctop_wedge2,
     ctop_wedge_skew,
-    pair_sum_product,
-    tensor_sum_product,
 )
 from .gysin import (
     GrassmannSetup,

@@ -11,9 +11,10 @@ from qlocus.alphabets import (
     complete_sym,
     difference,
     make_model,
+    pair_sum_product,
     q_sym,
 )
-from qlocus.chern import ctop_sym2, ctop_wedge2, pair_sum_product
+from qlocus.chern import ctop_sym2, ctop_wedge2
 from qlocus.partitions import Partition
 from qlocus.polyring import Ring, is_symmetric, product
 from qlocus.schur import schur_q, schur_s

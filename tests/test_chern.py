@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qlocus import schur
-from qlocus.alphabets import Alphabet, difference, make_model
+from qlocus.alphabets import Alphabet, difference, make_model, pair_sum_product, tensor_sum_product
 from qlocus.chern import (
     ctop_product_oracle,
     ctop_sym2,
@@ -12,9 +12,7 @@ from qlocus.chern import (
     ctop_wedge,
     ctop_wedge2,
     ctop_wedge_skew,
-    pair_sum_product,
     skew_schur_sum,
-    tensor_sum_product,
 )
 from qlocus.locus import FlagModel
 from qlocus.partitions import Partition, subpartitions

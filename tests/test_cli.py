@@ -243,23 +243,17 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr(argv):
     assert err == b""
 
 
-# sha256 of stdout, recorded by the benchmark's golden table; a change to
-# the term order or to how a monomial is rendered changes these bytes
-RENDERED_DIGESTS = {
-    "chern --e 6 --f 3 --kind vee --route oracle":
-        "4fde9eb4f059dde8ff12c79b45b7ef2afb85dfcae8c9a08e8fe7e2ee6fdfcb38",
-    "class --e 5 --f 4 --r 1 --symmetry skew --format polynomial":
-        "343cfc25bd27784724a294663807494d76f55bc18755026916739e26142f8d42",
-    "class --e 6 --f 4 --r 1 --symmetry skew --format polynomial --mode independent":
-        "49ab152acf4f8166a3938cf3521cfb0efe2ba8ef960f8364a152eafcaacb2c4d",
-}
+# exit code and sha256 of stdout of every benchmark request, recorded in
+# the benchmark's golden table; a change to the term order, to how a
+# monomial is rendered or to any printed value changes these bytes
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
 
 
-@pytest.mark.parametrize("request_line", sorted(RENDERED_DIGESTS))
+@pytest.mark.parametrize("request_line", sorted(GOLDEN))
 def test_rendered_polynomials_keep_their_bytes(capsys, request_line):
     code, out, err = run(capsys, *request_line.split())
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == RENDERED_DIGESTS[request_line]
+    assert (code, err) == (GOLDEN[request_line]["exit"], "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[request_line]["sha256"]
 
 
 def test_traced_layers_resolve_under_src():

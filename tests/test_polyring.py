@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from qlocus.polyring import (
     MAX_EXP,
+    SHIFT,
     NonDivisibleError,
     Poly,
     Ring,
@@ -53,6 +54,15 @@ def test_pack_unpack_round_trip():
     assert R.key_degree(R.pack(e)) == 10
     with pytest.raises(OverflowError):
         R.pack((MAX_EXP + 1, 0, 0))
+
+
+def test_poly_refuses_keys_outside_the_ring():
+    ring = Ring([("x", 2)])
+    # negative, past the last variable, a guard bit in the first or the last field
+    for key in (-1, 1 << (SHIFT * 2), MAX_EXP + 1, (MAX_EXP + 1) << SHIFT):
+        with pytest.raises(ValueError):
+            ring.poly({key: 1})
+    assert ring.poly({ring.fields: 1}) == ring.monomial((MAX_EXP, MAX_EXP))
 
 
 def test_pack_refuses_more_exponents_than_variables():
@@ -110,7 +120,7 @@ def test_degree_of_product_adds(P, Q):
 
 @given(polys, polys, coeffs)
 def test_carried_degree_matches_the_terms(P, Q, c):
-    P.total_degree()  # set the operands' degrees, so negation and scaling carry them
+    P.total_degree()  # an earlier query of the operands must not leak into the results
     Q.total_degree()
     # (P + x1)(P - x1) = P^2 - x1^2 cancels the middle degrees
     results = [P * Q, (P + x1) * (P - x1), P * (x2 - x3), -P, P.scale(c), P * R.zero, R.zero * Q]
@@ -199,6 +209,36 @@ def test_multiplication_past_total_degree_bound_without_field_overflow():
     assert (x1**40 + x2) * (x2**30 + x3**63) == R.poly(
         {R.pack((40, 30, 0)): 1, R.pack((40, 0, 63)): 1, R.pack((0, 31, 0)): 1, R.pack((0, 1, 63)): 1}
     )
+
+
+def sparse_polys(n):
+    """Up to four terms in n variables, exponents near the bound or small."""
+    exponent = st.integers(min_value=MAX_EXP - 40, max_value=MAX_EXP) | st.integers(0, 2)
+    return st.dictionaries(st.tuples(*[exponent] * n), coeffs, max_size=4)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(st.just(n), sparse_polys(n), sparse_polys(n))
+))
+def test_product_overflows_exactly_past_the_bound(case):
+    n, a, b = case
+    ring = Ring([("y", n)])
+    P, Q = (ring.poly({ring.pack(e): c for e, c in d.items()}) for d in (a, b))
+    exps_p, exps_q = ([ring.unpack(k) for k in S.terms] for S in (P, Q))
+    if exps_p and exps_q and any(
+        max(e[i] for e in exps_p) + max(e[i] for e in exps_q) > MAX_EXP for i in range(n)
+    ):
+        with pytest.raises(OverflowError):
+            P * Q
+        return
+    expected = {}
+    for ep, cp in zip(exps_p, P.terms.values()):
+        for eq, cq in zip(exps_q, Q.terms.values()):
+            e = tuple(x + y for x, y in zip(ep, eq))
+            expected[e] = expected.get(e, 0) + cp * cq
+    assert {ring.unpack(k): c for k, c in (P * Q).terms.items()} == {
+        e: c for e, c in expected.items() if c
+    }
 
 
 def test_structure_queries():
