@@ -199,12 +199,15 @@ def expression_to_poly(expr: ClassExpression, ctx: ModelContext) -> Poly:
 
 
 def _evaluate(expr: ClassExpression, F: Alphabet, emf) -> Poly:
-    """sum of c * [Q|P]_K(F) * s_L(emf) over the terms."""
+    """sum of c * [Q|P]_K(F) * s_L(emf) over the terms, added up in one
+    dict: a sum of Polys would copy the growing total once per term."""
     qp = schur_q if expr.kind == "Q" else schur_p
-    total = F.ring.zero
+    total: dict = {}
+    get = total.get
     for K, L, c in expr.terms:
-        total = total + (qp(K, F) * schur_s(L, emf)).scale(c)
-    return total
+        for k, v in (qp(K, F) * schur_s(L, emf)).terms.items():
+            total[k] = get(k, 0) + c * v
+    return F.ring.poly(total)
 
 
 def class_via_pushforward(problem: LocusProblem, ctx: ModelContext) -> Poly:

@@ -13,7 +13,12 @@ division) is graded reverse lexicographic with respect to the global
 variable order, larger degrees first.  Its sort key is
 (degree, -packed key): the last variable sits in the top field, so
 comparing packed keys as integers compares (e_{n-1}, ..., e_0)
-lexicographically, and no key is unpacked to sort.
+lexicographically.  Rendering splits each key at a field boundary into
+a low and a high half, and memoizes the degree and the text of each
+distinct half for the one call, so only distinct halves, far fewer than
+the terms, are walked field by field; it groups the keys by degree and
+sorts each group as plain integers, ascending, with the degrees
+descending.
 
 Every exponent is at most MAX_EXP = 63, so a valid key sets no bit
 outside ``Ring.fields``, the ring's exponent bits.  Two exponents of at
@@ -36,6 +41,24 @@ def _int(c) -> int:
     if type(c) is not int:
         raise TypeError(f"polynomial coefficients are ints, got {type(c).__name__}")
     return c
+
+
+def _render_fields(key: int, names, first: int) -> tuple[int, str]:
+    """(degree, text) of the fields of ``key``, its first field being the
+    exponent of variable ``first``: ``f1^2*f3``, or "" for no factor."""
+    d = 0
+    factors = []
+    i = first
+    while key:
+        e = key & MAX_EXP
+        if e == 1:
+            factors.append(names[i])
+        elif e:
+            factors.append(f"{names[i]}^{e}")
+        d += e
+        key >>= SHIFT
+        i += 1
+    return d, "*".join(factors)
 
 
 class Ring:
@@ -81,15 +104,19 @@ class Ring:
     def poly(self, terms: dict) -> "Poly":
         """Canonicalize a raw {packed key: int coefficient} mapping; a key
         that is negative, reaches past the last variable or has a guard
-        bit set is refused."""
+        bit set raises ``ValueError``, a coefficient that is not an
+        ``int`` raises ``TypeError``."""
         invalid = ~self.fields
         if any(k & invalid for k in terms):
             raise ValueError("not a packed key of this ring")
+        kinds = sorted(t.__name__ for t in set(map(type, terms.values())) - {int})
+        if kinds:
+            raise TypeError(f"polynomial coefficients are ints, got {', '.join(kinds)}")
         return Poly(self, {k: c for k, c in terms.items() if c})
 
     def monomial(self, exps, c=1) -> "Poly":
         """Monomial from a full-length exponent sequence."""
-        return self.poly({self.pack(exps): _int(c)})
+        return self.poly({self.pack(exps): c})
 
     # -- packed-key helpers -------------------------------------------
 
@@ -245,36 +272,50 @@ class Poly:
     # -- rendering -----------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        ring = self.ring
-        names = ring.names
         terms = self.terms
+        if not terms:
+            return "0"
+        names = self.ring.names
+        half = (self.ring.nvars + 1) // 2
+        cut = SHIFT * half
+        mask = (1 << cut) - 1
+        # half key -> (degree, text), built once per distinct half
+        lows: dict = {}
+        highs: dict = {}
+        by_degree: dict = {}
+        for k in terms:
+            low, high = k & mask, k >> cut
+            lo = lows.get(low)
+            if lo is None:
+                lo = lows[low] = _render_fields(low, names, 0)
+            hi = highs.get(high)
+            if hi is None:
+                hi = highs[high] = _render_fields(high, names, half)
+            d = lo[0] + hi[0]
+            group = by_degree.get(d)
+            if group is None:
+                by_degree[d] = [k]
+            else:
+                group.append(k)
         pieces = []
-        for k in sorted(terms, key=ring.sort_key, reverse=True):
-            c = terms[k]
-            factors = []
-            i = 0
-            while k:
-                e = k & MAX_EXP
-                if e == 1:
-                    factors.append(names[i])
-                elif e:
-                    factors.append(f"{names[i]}^{e}")
-                k >>= SHIFT
-                i += 1
-            mono = "*".join(factors)
-            ac = -c if c < 0 else c
-            if not mono:
-                body = str(ac)
-            elif ac == 1:
-                body = mono
-            else:
-                body = f"{ac}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
+        # descending (degree, -key): degrees down, keys up within a degree
+        for d in sorted(by_degree, reverse=True):
+            for k in sorted(by_degree[d]):
+                c = terms[k]
+                lo = lows[k & mask][1]
+                hi = highs[k >> cut][1]
+                mono = f"{lo}*{hi}" if lo and hi else lo or hi
+                ac = -c if c < 0 else c
+                if not mono:
+                    body = str(ac)
+                elif ac == 1:
+                    body = mono
+                else:
+                    body = f"{ac}*{mono}"
+                if not pieces:
+                    pieces.append(body if c > 0 else "-" + body)
+                else:
+                    pieces.append((" + " if c > 0 else " - ") + body)
         return "".join(pieces)
 
     def __repr__(self):

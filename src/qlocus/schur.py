@@ -5,7 +5,10 @@ S-polynomials of (virtual) alphabets, skew or not, are all built by
 partition), with no memo of their own.  A straight shape on a difference
 P - N is read off the factorization of hook Schur functions, a product
 of root differences times two smaller S-polynomials, whenever the shape
-allows it; every other S-polynomial is a Jacobi-Trudi determinant
+allows it; on a one-sided alphabet of n roots a shape of length n is a
+power of the product of the roots times a shorter shape, and the
+staircase (n-1, ..., 1) the product of the root sums.  Every other
+S-polynomial is a Jacobi-Trudi determinant
 (:func:`jacobi_trudi`) over the memoized complete series of the alphabet
 V, or, for a shape with fewer columns than rows, of -V^∨ on the
 conjugate shape.
@@ -38,7 +41,7 @@ from .alphabets import (
     q_sym,
     tensor_sum_product,
 )
-from .partitions import Partition, subpartitions
+from .partitions import Partition, staircase, subpartitions
 from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric, product
 
 
@@ -128,13 +131,27 @@ def _hook_factor(lam: Partition, v: VirtualAlphabet) -> Poly | None:
       * s_alpha(P) * s_beta(-N), with alpha = (lam_1 - b, ..., lam_a - b)
       and beta = (lam_{a+1}, lam_{a+2}, ...).
 
-    Returns None where neither applies (lam_a < b, or a one-sided
-    alphabet inside the hook), which leaves the determinant.
+    On a one-sided alphabet P (b = 0), two identities of the bialternant
+    a_{lam + delta} / a_delta: s_lam = e_a^{lam_a} * s_{lam - (lam_a^a)}
+    when length(lam) = a, e_a the product of the roots, and the staircase
+    s_{(a-1, ..., 1)} = a_{2 delta} / a_delta = prod_{i<j} (x_i + x_j).
+
+    Returns None where none applies (lam_a < b, a shorter shape on P
+    other than the staircase, or an alphabet with no positive side),
+    which leaves the determinant.
     """
     a = sum(x.size for x in v.pos)
     b = sum(x.size for x in v.neg)
     if lam.part(a + 1) > b:
         return v.ring.zero
+    if a and not b:
+        roots = [r for x in v.pos for r in x.roots()]
+        if lam.length == a:
+            m = lam.part(a)
+            return product(v.ring, roots) ** m * schur_s(Partition(tuple(p - m for p in lam.parts)), v)
+        if lam == staircase(a - 1):
+            return product(v.ring, (x + y for i, x in enumerate(roots) for y in roots[i + 1 :]))
+        return None
     if not (a and b) or lam.part(a) < b:
         return None
     P = VirtualAlphabet(v.pos)

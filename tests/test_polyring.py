@@ -190,6 +190,7 @@ def test_non_integer_scalars_are_refused(c):
         lambda: c - x1,
         lambda: x1 * c,
         lambda: c * x1,
+        lambda: R.poly({0: 1, 1: c}),
     ):
         with pytest.raises(TypeError):
             op()
@@ -265,6 +266,45 @@ def test_rendering():
     assert str(f1 * k * hv + f2**2 * hv - k**3 + f1 * f2 * 5) == "-k^3 + f2^2*h + f1*k*h + 5*f1*f2"
     # negative leading coefficient
     assert str(-(x1**2) * 4 + x2 * x3 - 7) == "-4*x1^2 + x2*x3 - 7"
+
+
+def reference_render(P):
+    """The renderer kept as the reference: sort on (degree of the unpacked
+    exponents, -key), largest first, and render every field of every key."""
+    ring = P.ring
+    pieces = []
+    for k in sorted(P.terms, key=lambda k: (sum(ring.unpack(k)), -k), reverse=True):
+        c = P.terms[k]
+        mono = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(ring.names, ring.unpack(k)) if e)
+        body = f"{abs(c)}*{mono}" if mono and abs(c) != 1 else mono or str(abs(c))
+        sign = ("-" if c < 0 else "") if not pieces else (" - " if c < 0 else " + ")
+        pieces.append(sign + body)
+    return "".join(pieces) or "0"
+
+
+@st.composite
+def _rendered_polys(draw):
+    """A polynomial on 0 to 14 variables in blocks of 1 to 4, with
+    exponents up to MAX_EXP and coefficients of either sign, +-1 and
+    past 2^64 among them."""
+    nvars = draw(st.integers(min_value=0, max_value=14))
+    sizes = []
+    while sum(sizes) < nvars:
+        sizes.append(draw(st.integers(min_value=1, max_value=min(4, nvars - sum(sizes)))))
+    ring = Ring([(chr(ord("a") + i), size) for i, size in enumerate(sizes)])
+    exponent = st.one_of(st.just(0), st.just(1), st.integers(min_value=0, max_value=MAX_EXP))
+    coefficient = st.one_of(
+        st.sampled_from([1, -1]),
+        st.integers(min_value=-1000, max_value=1000),
+        st.integers(min_value=2**64, max_value=2**80).flatmap(lambda c: st.sampled_from([c, -c])),
+    )
+    terms = draw(st.dictionaries(st.tuples(*(exponent for _ in range(nvars))), coefficient, max_size=20))
+    return ring.poly({ring.pack(e): c for e, c in terms.items()})
+
+
+@given(_rendered_polys())
+def test_rendering_matches_the_reference(P):
+    assert str(P) == reference_render(P)
 
 
 @given(st.integers(min_value=1, max_value=10).flatmap(

@@ -1,4 +1,5 @@
 import math
+import time
 from functools import reduce
 from itertools import permutations
 from operator import mul
@@ -9,7 +10,14 @@ from hypothesis import given, settings, strategies as st
 from qlocus import schur
 from qlocus.alphabets import Alphabet, VirtualAlphabet, complete_sym, difference, make_model, q_sym
 from qlocus.locus import LocusProblem, class_of, class_schur_pair_expansion, expression_to_poly
-from qlocus.partitions import Partition, rectangle, staircase, strict_partitions_bounded, subpartitions
+from qlocus.partitions import (
+    Partition,
+    rectangle,
+    rectangle_partitions,
+    staircase,
+    strict_partitions_bounded,
+    subpartitions,
+)
 from qlocus.polyring import (
     Poly,
     Ring,
@@ -543,6 +551,50 @@ def _hook_problems(draw):
 def test_hook_factorization_matches_the_determinant(problem):
     lam, v = problem
     assert schur_s(lam, v) == jacobi_trudi(lam, Partition(), v)
+
+
+def _conjugate_jacobi_trudi(lam, v):
+    """s_lam(v) as the determinant of the conjugate shape over -V^∨, whose
+    complete series is the elementary series of V: on a one-sided
+    alphabet its entries have few terms, so it stays cheap on 5 roots."""
+    d = (v if isinstance(v, VirtualAlphabet) else VirtualAlphabet((v,))).dual()
+    return jacobi_trudi(lam.conjugate(), Partition(), VirtualAlphabet(d.neg, d.pos))
+
+
+def _one_sided_alphabets():
+    """Positive alphabets of 1 to 5 roots, plain and negated: variables
+    up to 4 roots, values on 5 (a determinant over 5 variables is slow on
+    either side), and one alphabet split over variables, a negated
+    variable and a value."""
+    for n in range(1, 6):
+        ring = Ring([("x", n if n < 5 else 0)])
+        for negated in (False, True):
+            if n < 5:
+                yield n, Alphabet(ring, ring.block("x"), negated)
+            else:
+                yield n, Alphabet(ring, (), negated, (3, -1, 2, 1, -2))
+    ring = Ring([("x", 3)])
+    yield 4, VirtualAlphabet(
+        (Alphabet(ring, (0, 1)), Alphabet(ring, (2,), True), Alphabet(ring, (), False, (2,)))
+    )
+
+
+def test_full_length_and_staircase_rule_matches_the_determinant():
+    # every shape with parts <= 5 on n roots: those of length n take
+    # e_n^{lam_n} * s_{lam - (lam_n^n)}, the staircase (n-1, ..., 1) the
+    # product of root sums, and the rest the determinant as before
+    for n, v in _one_sided_alphabets():
+        for lam in rectangle_partitions(n, 5):
+            assert schur_s(lam, v) == _conjugate_jacobi_trudi(lam, v), (n, lam)
+
+
+def test_staircase_six_on_six_roots_expands_to_itself_quickly():
+    # s_{(6,...,1)}(F) was a 6 x 6 determinant taking about two minutes;
+    # straightening is an independent route back to the shape
+    ctx = make_model("surjection", 8, 6)
+    t0 = time.perf_counter()
+    assert expand_schur_basis(schur_s(staircase(6), ctx.F), ctx.F) == {staircase(6): 1}
+    assert time.perf_counter() - t0 < 2.0
 
 
 @given(st.data())
