@@ -14,16 +14,17 @@ Two evaluation models are used everywhere:
 * ``independent`` — separate blocks ``e`` and ``f`` with E - F a genuine
   virtual difference.
 
-Both are immutable plain classes with identity equality: two alphabets
-built from the same roots are distinct objects, and the memo tables key
-on :meth:`sig` instead.
+Both are :class:`~qlocus.records.Frozen` records, so they compare by
+identity: two alphabets built from the same roots are distinct objects,
+and the memo tables key on :meth:`sig` instead.
 """
 from __future__ import annotations
 
 from .polyring import Poly, Ring, product
+from .records import Frozen
 
 
-class Alphabet:
+class Alphabet(Frozen):
     """An ordered set of Chern roots, possibly negated: the ring
     ``variables``, then the integers ``values``."""
 
@@ -38,13 +39,7 @@ class Alphabet:
             raise ValueError(f"alphabet variables must lie in 0..{ring.nvars - 1}")
         if any(type(v) is not int for v in values):
             raise ValueError(f"alphabet root values must be integers, got {values!r}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "negated", negated)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
+        self._set(ring=ring, variables=variables, negated=negated, values=values)
 
     @property
     def size(self) -> int:
@@ -61,7 +56,7 @@ class Alphabet:
         return ("A", self.variables, self.negated, self.values)
 
 
-class VirtualAlphabet:
+class VirtualAlphabet(Frozen):
     """Formal difference (sum of ``pos``) - (sum of ``neg``)."""
 
     __slots__ = ("pos", "neg")
@@ -72,11 +67,7 @@ class VirtualAlphabet:
             raise ValueError("a virtual alphabet needs at least one alphabet")
         if any(a.ring is not alphabets[0].ring for a in alphabets):
             raise ValueError("the alphabets of a virtual alphabet must share one ring")
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "neg", neg)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VirtualAlphabet is immutable")
+        self._set(pos=pos, neg=neg)
 
     @property
     def ring(self) -> Ring:

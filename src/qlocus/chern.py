@@ -18,15 +18,12 @@ from __future__ import annotations
 from .alphabets import Alphabet, ModelContext, difference, pair_sum_product, tensor_sum_product
 from .partitions import Partition, complement_conjugate, rectangle_partitions, staircase
 from .polyring import Poly
-from .schur import schur_p, schur_q, schur_s
+from .schur import schur_p, schur_q, schur_s, schur_sum
 
 
 def ctop_tensor(a: Alphabet, b: Alphabet) -> Poly:
     """c_top(A ⊗ B) = sum over I in the e x f box of s_I(A) s_{CĨ}(B)."""
-    total = a.ring.zero
-    for I, J in staircase_terms(0, a.size, b.size):
-        total = total + schur_s(I, a) * schur_s(J, b)
-    return total
+    return staircase_schur_sum("s", 0, a.size, b.size, a, b)
 
 
 def staircase_terms(stair: int, rows: int, cols: int):
@@ -41,17 +38,15 @@ def staircase_schur_sum(kind: str, stair: int, rows: int, cols: int, a: Alphabet
     """The recurring shape
 
         sum over I in the rows x cols box of
-            [Q or P]_{rho_stair + I}(a) * s_{CĨ}(d)
+            X_{rho_stair + I}(a) * s_{CĨ}(d)
 
-    over the pairs of :func:`staircase_terms`.  All closed-form classes
-    here (E v F, E ^ F, the degeneracy classes and their push-forward
-    identities) are instances.
+    over the pairs of :func:`staircase_terms`, with X the Q-, P- or
+    S-polynomial for ``kind`` "Q", "P" or "s" (:func:`~qlocus.schur.schur_sum`).
+    All closed-form classes here (E v F, E ^ F, the degeneracy classes
+    and their push-forward identities) are instances of Q and P, and
+    c_top(A ⊗ B) of "s" with no staircase.
     """
-    qp = schur_q if kind == "Q" else schur_p
-    total = a.ring.zero
-    for K, L in staircase_terms(stair, rows, cols):
-        total = total + qp(K, a) * schur_s(L, d)
-    return total
+    return schur_sum(kind, ((K, L, 1) for K, L in staircase_terms(stair, rows, cols)), a, d)
 
 
 def skew_schur_sum(T: Partition, a: Alphabet, d) -> Poly:

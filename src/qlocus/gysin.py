@@ -28,6 +28,7 @@ import math
 from .alphabets import Alphabet, tensor_sum_product
 from .partitions import Partition
 from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric
+from .records import Frozen, Value
 from .schur import schur_p, schur_q
 
 
@@ -36,7 +37,7 @@ class BlockSymmetryError(ValueError):
     variable group."""
 
 
-class GrassmannSetup:
+class GrassmannSetup(Value):
     """Push-forward data for G^q(E) -> X, immutable and compared by value.
 
     ``variables`` are the Chern roots of E in a fixed order; the first
@@ -52,21 +53,7 @@ class GrassmannSetup:
             raise ValueError("designated roots must be distinct")
         if not all(0 <= v < ring.nvars for v in variables):
             raise ValueError(f"designated roots must lie in 0..{ring.nvars - 1}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannSetup is immutable")
-
-    def _key(self) -> tuple:
-        return (self.ring, self.variables, self.q)
-
-    def __eq__(self, other):
-        return isinstance(other, GrassmannSetup) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        self._set(ring=ring, variables=variables, q=q)
 
     @property
     def e(self) -> int:
@@ -113,23 +100,19 @@ def grassmann_pushforward(P: Poly, setup: GrassmannSetup) -> Poly:
     return P
 
 
-class RepeatedPushforward:
+class RepeatedPushforward(Frozen):
     """Push-forwards of ``factor * P`` for one fixed factor and many P."""
 
     __slots__ = ("setup", "factor")
 
     def __init__(self, setup: GrassmannSetup, factor: Poly):
-        object.__setattr__(self, "setup", setup)
-        object.__setattr__(self, "factor", factor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RepeatedPushforward is immutable")
+        self._set(setup=setup, factor=factor)
 
     def push(self, P: Poly) -> Poly:
         return grassmann_pushforward(self.factor * P, self.setup)
 
 
-class FlagSetup:
+class FlagSetup(Value):
     """Two-step flag bundle Fl_{f-p, e-p}(F, E) -> X in the surjection
     model, presented as an inner Grassmannian over an outer one;
     immutable and compared by value.
@@ -146,21 +129,7 @@ class FlagSetup:
     def __init__(self, f_vars: tuple[int, ...], k_vars: tuple[int, ...], p: int):
         if not 0 <= 2 * p < len(f_vars):
             raise ValueError(f"need 0 <= 2p < f, got p={p}, f={len(f_vars)}")
-        object.__setattr__(self, "f_vars", f_vars)
-        object.__setattr__(self, "k_vars", k_vars)
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlagSetup is immutable")
-
-    def _key(self) -> tuple:
-        return (self.f_vars, self.k_vars, self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, FlagSetup) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        self._set(f_vars=f_vars, k_vars=k_vars, p=p)
 
     @property
     def f(self) -> int:
@@ -185,19 +154,14 @@ def flag_pushforward(P: Poly, fs: FlagSetup, ring: Ring) -> Poly:
     return grassmann_pushforward(grassmann_pushforward(P, inner), outer)
 
 
-class PushforwardCheck:
+class PushforwardCheck(Frozen):
     """Outcome of one instance of the Q/P push-forward formula on
-    G^q(E): pi_*(c_top(R ⊗ Q) P_I(Q)) against d * P_I(E)."""
+    G^q(E): pi_*(c_top(R ⊗ Q) P_I(Q)) against d * P_I(E); immutable."""
 
     __slots__ = ("e", "q", "I", "d", "computed", "expected")
 
     def __init__(self, e: int, q: int, I: Partition, d: int, computed: Poly, expected: Poly):
-        self.e = e
-        self.q = q
-        self.I = I
-        self.d = d
-        self.computed = computed
-        self.expected = expected
+        self._set(e=e, q=q, I=I, d=d, computed=computed, expected=expected)
 
     @property
     def ok(self) -> bool:
@@ -214,7 +178,7 @@ def pushforward_degree_factor(e: int, q: int, I: Partition) -> int:
     return math.comb((e - k) // 2, (q - k) // 2)
 
 
-class PushforwardInstance:
+class PushforwardInstance(Frozen):
     """G^q(E) on its own e-variable ring: the setup, c_top(R ⊗ Q), and
     the alphabets of Q and E; immutable.  One instance serves every check
     at (e, q), so the ring memo builds each series and Q-polynomial once."""
@@ -225,15 +189,9 @@ class PushforwardInstance:
         ring = Ring([("a", e)])
         quotient = Alphabet(ring, tuple(range(q)))
         ctop_rq = tensor_sum_product(Alphabet(ring, tuple(range(q, e))), quotient)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "setup", GrassmannSetup(ring, tuple(range(e)), q))
-        object.__setattr__(self, "ctop_rq", ctop_rq)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "total", Alphabet(ring, tuple(range(e))))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PushforwardInstance is immutable")
+        setup = GrassmannSetup(ring, tuple(range(e)), q)
+        total = Alphabet(ring, tuple(range(e)))
+        self._set(e=e, q=q, setup=setup, ctop_rq=ctop_rq, quotient=quotient, total=total)
 
 
 def verify_pushforward_coefficient(I: Partition, inst: PushforwardInstance) -> PushforwardCheck:

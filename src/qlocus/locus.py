@@ -21,6 +21,7 @@ from .chern import ctop_sym2, ctop_wedge2, skew_schur_sum, staircase_schur_sum, 
 from .gysin import FlagSetup, GrassmannSetup, flag_pushforward, grassmann_pushforward
 from .partitions import Partition, rectangle_partitions, staircase
 from .polyring import Poly, Ring
+from .records import Frozen, Value
 from .schur import (
     SchurPairExpansion,
     expand_schur_basis,
@@ -29,10 +30,11 @@ from .schur import (
     schur_p,
     schur_q,
     schur_s,
+    schur_sum,
 )
 
 
-class LocusProblem:
+class LocusProblem(Value):
     """Ranks and symmetry type of one degeneracy problem, immutable and
     compared by value.
 
@@ -51,22 +53,7 @@ class LocusProblem:
             raise ValueError(f"need 0 <= r <= f, got r={r}")
         if symmetry == "skew" and e == f and r % 2:
             raise ValueError("skew with e=f requires even r")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "symmetry", symmetry)  # "sym" | "skew"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LocusProblem is immutable")
-
-    def _key(self) -> tuple:
-        return (self.e, self.f, self.r, self.symmetry)
-
-    def __eq__(self, other):
-        return isinstance(other, LocusProblem) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        self._set(e=e, f=f, r=r, symmetry=symmetry)  # symmetry "sym" | "skew"
 
     @property
     def n(self) -> int:
@@ -86,27 +73,14 @@ def expected_codim(problem: LocusProblem) -> int:
     return q * (2 * n + q - 1) // 2
 
 
-class ClassExpression:
+class ClassExpression(Value):
     """A sum of coeff * [Q|P]_K(F) * s_L(E-F) terms with strict K,
     immutable and compared by value."""
 
     __slots__ = ("kind", "terms")
 
     def __init__(self, kind: str, terms: tuple[tuple[Partition, Partition, int], ...]):
-        object.__setattr__(self, "kind", kind)  # "Q" | "P"
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassExpression is immutable")
-
-    def _key(self) -> tuple:
-        return (self.kind, self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, ClassExpression) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        self._set(kind=kind, terms=terms)  # kind "Q" | "P"
 
     @staticmethod
     def build(kind: str, terms) -> "ClassExpression":
@@ -195,19 +169,7 @@ def class_via_mnemonic(problem: LocusProblem) -> ClassExpression:
 
 def expression_to_poly(expr: ClassExpression, ctx: ModelContext) -> Poly:
     """Evaluate on Chern roots."""
-    return _evaluate(expr, ctx.F, ctx.e_minus_f())
-
-
-def _evaluate(expr: ClassExpression, F: Alphabet, emf) -> Poly:
-    """sum of c * [Q|P]_K(F) * s_L(emf) over the terms, added up in one
-    dict: a sum of Polys would copy the growing total once per term."""
-    qp = schur_q if expr.kind == "Q" else schur_p
-    total: dict = {}
-    get = total.get
-    for K, L, c in expr.terms:
-        for k, v in (qp(K, F) * schur_s(L, emf)).terms.items():
-            total[k] = get(k, 0) + c * v
-    return F.ring.poly(total)
+    return schur_sum(expr.kind, expr.terms, ctx.F, ctx.e_minus_f())
 
 
 def class_via_pushforward(problem: LocusProblem, ctx: ModelContext) -> Poly:
@@ -278,18 +240,18 @@ def projective_degree(e_twists, f_twists, r: int, symmetry: str) -> tuple[int, i
     ring = Ring([])
     E = Alphabet(ring, (), values=tuple(map(int, e_twists)))
     F = Alphabet(ring, (), values=tuple(map(int, f_twists)))
-    return codim, _evaluate(expr, F, difference(E, F)).constant()
+    return codim, schur_sum(expr.kind, expr.terms, F, difference(E, F)).constant()
 
 
 # -- push-forward identities along the kernel flag --------------------
 
 
-class IdentityCheck:
+class IdentityCheck(Frozen):
     """Three members of one push-forward identity: the staircase-sum
     integrand and its skew-Schur rewriting, both pushed down the flag,
     against the closed form; optionally the same push-forward computed
-    through the ambient product of Grassmannians.  For kind "sym" every
-    member carries a factor 2^p, so all of them are integral."""
+    through the ambient product of Grassmannians; immutable.  For kind
+    "sym" every member carries a factor 2^p, so all of them are integral."""
 
     __slots__ = ("kind", "f", "p", "n", "lhs", "middle", "rhs", "via_product")
 
@@ -297,14 +259,9 @@ class IdentityCheck:
         self, kind: str, f: int, p: int, n: int,
         lhs: Poly, middle: Poly, rhs: Poly, via_product: Poly | None = None,
     ):
-        self.kind = kind  # "sym" | "skew"
-        self.f = f
-        self.p = p
-        self.n = n
-        self.lhs = lhs
-        self.middle = middle
-        self.rhs = rhs
-        self.via_product = via_product
+        self._set(  # kind "sym" | "skew"
+            kind=kind, f=f, p=p, n=n, lhs=lhs, middle=middle, rhs=rhs, via_product=via_product
+        )
 
     @property
     def ok(self) -> bool:
@@ -313,7 +270,7 @@ class IdentityCheck:
         return self.via_product is None or self.via_product == self.rhs
 
 
-class FlagModel:
+class FlagModel(Frozen):
     """The surjection model of ranks (f + n, f) with the kernel flag of
     step p: the model ``ctx``, the flag setup ``flag``, S* and R* - S*;
     immutable.  One model serves both kinds of :func:`verify_identity`,
@@ -326,13 +283,7 @@ class FlagModel:
         flag = FlagSetup(ctx.ring.block("f"), ctx.ring.block("k"), p)
         s_dual = Alphabet(ctx.ring, flag.s_vars(), negated=True)
         r_dual = Alphabet(ctx.ring, flag.s_vars() + flag.k_vars, negated=True)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "flag", flag)
-        object.__setattr__(self, "s_dual", s_dual)
-        object.__setattr__(self, "rs_diff", difference(r_dual, s_dual))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlagModel is immutable")
+        self._set(ctx=ctx, flag=flag, s_dual=s_dual, rs_diff=difference(r_dual, s_dual))
 
 
 def _identity_integrand(kind: str, f: int, p: int, n: int, s_dual: Alphabet, rs_diff):

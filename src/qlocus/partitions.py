@@ -9,13 +9,16 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .records import Frozen
 
-class Partition:
+
+class Partition(Frozen):
     """Immutable partition with value semantics.
 
     Parts are stored with trailing zeros stripped, so ``Partition((2, 1, 0))``
     and ``Partition((2, 1))`` are the same object as far as ``==`` and
-    ``hash`` are concerned.
+    ``hash`` are concerned.  It compares on ``parts`` alone, which is
+    cheaper than the field tuple of :class:`~qlocus.records.Value`.
     """
 
     __slots__ = ("parts",)
@@ -31,10 +34,9 @@ class Partition:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if ps and ps[-1] < 0:
             raise ValueError(f"parts must be nonnegative, got {parts}")
+        # set directly: ``_set`` would add about a third to the cost of the
+        # most frequently built record
         object.__setattr__(self, "parts", ps)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
 
     # -- basic protocol ------------------------------------------------
 
@@ -119,6 +121,8 @@ class Partition:
 
     def remove_part(self, i: int) -> "Partition":
         """Partition with the i-th part (1-based) deleted."""
+        if not 1 <= i <= len(self.parts):
+            raise ValueError(f"{self} has no part {i}")
         return Partition(self.parts[: i - 1] + self.parts[i:])
 
 
@@ -137,21 +141,7 @@ def rectangle_partitions(rows: int, cols: int) -> list[Partition]:
     """
     if rows < 0 or cols < 0:
         raise ValueError("rows and cols must be nonnegative")
-    # partitions in the box <-> strictly decreasing (lambda_i + rows - i),
-    # i.e. rows-subsets of {0, .., rows+cols-1}; direct recursion is clearer.
-    out: list[Partition] = []
-
-    def rec(prefix: list[int], remaining: int, bound: int):
-        if remaining == 0:
-            out.append(Partition(tuple(prefix)))
-            return
-        for p in range(bound, -1, -1):
-            prefix.append(p)
-            rec(prefix, remaining - 1, p)
-            prefix.pop()
-
-    rec([], rows, cols)
-    return out
+    return subpartitions(rectangle(rows, cols))
 
 
 def rectangle(rows: int, cols: int) -> Partition:

@@ -104,9 +104,12 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
 
 def jacobi_trudi(lam: Partition, mu: Partition, v) -> Poly:
     """det [ s_{lam_p - mu_q - p + q}(v) ], built as it stands: no memo, no
-    factorization, no change of side.  :func:`schur_skew` calls it where
-    the factorization does not apply; tests and ``verify`` call it
-    directly as the oracle of the factorization."""
+    factorization, no change of side; requires mu ⊂ lam, as the matrix
+    has only length(lam) rows.  :func:`schur_skew` calls it where the
+    factorization does not apply; tests and ``verify`` call it directly
+    as the oracle of the factorization."""
+    if not lam.contains(mu):
+        raise ValueError(f"{mu} is not contained in {lam}")
     v = _as_virtual(v)
     ring = v.ring
     k = lam.length
@@ -238,6 +241,23 @@ def schur_p(I: Partition, a: Alphabet) -> Poly:
     return Poly(a.ring, {k: c // d for k, c in Q.terms.items()})
 
 
+def schur_sum(kind: str, terms, a, d) -> Poly:
+    """sum of c * X_K(a) * s_L(d) over the (K, L, c) ``terms``, with X the
+    Q-, P- or S-polynomial for ``kind`` "Q", "P" or "s".  Every product is
+    added into one dict, since a sum of Polys would copy the growing total
+    once per term; ``Ring.poly`` then refuses a coefficient that is not an
+    int."""
+    x = {"Q": schur_q, "P": schur_p, "s": schur_s}.get(kind)
+    if x is None:
+        raise ValueError(f"kind must be 'Q', 'P' or 's', got {kind!r}")
+    total: dict = {}
+    get = total.get
+    for K, L, c in terms:
+        for k, v in (x(K, a) * schur_s(L, d)).terms.items():
+            total[k] = get(k, 0) + c * v
+    return a.ring.poly(total)
+
+
 # -- expansions -------------------------------------------------------
 
 
@@ -336,11 +356,7 @@ class SchurPairExpansion:
         return "\n".join(lines)
 
     def to_poly(self, a: Alphabet, b: Alphabet) -> Poly:
-        ring = a.ring
-        total = ring.zero
-        for (I, J), c in self.coeffs.items():
-            total = total + (schur_s(I, a) * schur_s(J, b)).scale(c)
-        return total
+        return schur_sum("s", ((I, J, c) for (I, J), c in self.coeffs.items()), a, b)
 
 
 def schur_difference_split(L: Partition, b: Alphabet, max_a_length: int):

@@ -38,22 +38,18 @@ from .locus import (
 )
 from .partitions import Partition, rectangle, staircase, strict_partitions_bounded
 from .polyring import Ring, product
+from .records import Frozen
 from .schur import expand_schur_pair, jacobi_trudi, pfaffian_q, schur_p, schur_q, schur_s
 
 
-class CaseResult:
+class CaseResult(Frozen):
     """One checked case: a suite-qualified name, its parameters, and
     whether the identity held."""
 
     __slots__ = ("name", "params", "ok")
 
     def __init__(self, name: str, params: str, ok: bool):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "ok", ok)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CaseResult is immutable")
+        self._set(name=name, params=params, ok=ok)
 
     def render(self) -> str:
         return f"CASE {self.name} {self.params} : {'PASS' if self.ok else 'FAIL'}"
@@ -176,6 +172,17 @@ def suite_gysin(max_e: int = 5, max_weight: int = 5) -> list[CaseResult]:
     return out
 
 
+# the rendered closed-form classes, keyed by (e, f, r, symmetry)
+WORKED_CLASSES = {
+    (4, 3, 2, "sym"): "Q[2](F) + Q[1](F)*s[1](E-F)",
+    (5, 3, 2, "sym"): "Q[3](F) + Q[2](F)*s[1](E-F) + Q[1](F)*s[1,1](E-F)",
+    (4, 3, 2, "skew"): "P[1](F) + s[1](E-F)",
+    (5, 3, 2, "skew"): "P[2](F) + P[1](F)*s[1](E-F) + s[1,1](E-F)",
+    (5, 4, 2, "skew"): "P[2,1](F) + P[2](F)*s[1](E-F) + P[1](F)*s[2](E-F)",
+    (4, 2, 1, "skew"): "P[2](F) + P[1](F)*s[1](E-F)",
+}
+
+
 def suite_locus(max_e: int = 4) -> list[CaseResult]:
     out = []
     models = {}  # one surjection model per (e, f) for every case below
@@ -185,15 +192,7 @@ def suite_locus(max_e: int = 4) -> list[CaseResult]:
             models[e, f] = make_model("surjection", e, f)
         return models[e, f]
 
-    worked = {
-        (4, 3, 2, "sym"): "Q[2](F) + Q[1](F)*s[1](E-F)",
-        (5, 3, 2, "sym"): "Q[3](F) + Q[2](F)*s[1](E-F) + Q[1](F)*s[1,1](E-F)",
-        (4, 3, 2, "skew"): "P[1](F) + s[1](E-F)",
-        (5, 3, 2, "skew"): "P[2](F) + P[1](F)*s[1](E-F) + s[1,1](E-F)",
-        (5, 4, 2, "skew"): "P[2,1](F) + P[2](F)*s[1](E-F) + P[1](F)*s[2](E-F)",
-        (4, 2, 1, "skew"): "P[2](F) + P[1](F)*s[1](E-F)",
-    }
-    for (e, f, r, sym), want in worked.items():
+    for (e, f, r, sym), want in WORKED_CLASSES.items():
         got = str(class_of(LocusProblem(e, f, r, sym)))
         out.append(CaseResult("locus.example", f"e={e} f={f} r={r} {sym}", got == want))
     for e in range(1, max_e + 1):

@@ -14,7 +14,7 @@ from qlocus.chern import (
     ctop_wedge_skew,
     skew_schur_sum,
 )
-from qlocus.locus import FlagModel
+from qlocus.locus import FlagModel, LocusProblem, class_of, expression_to_poly
 from qlocus.partitions import Partition, subpartitions
 from qlocus.polyring import Ring, product
 from qlocus.schur import jacobi_trudi
@@ -60,6 +60,15 @@ def test_square_top_classes_factor(e):
     A = Alphabet(ring, ring.block("a"))
     assert ctop_sym2(A) == pair_sum_product(A, strict=False)
     assert ctop_wedge2(A) == pair_sum_product(A, strict=True)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 6])
+def test_top_classes_are_the_classes_of_d0(e):
+    # c_top(E v F) = [D_0] of a symmetric map, c_top(E ^ F) of a skew one
+    for f in range(1, e + 1):
+        ctx = make_model("surjection", e, f)
+        assert ctop_vee(ctx) == expression_to_poly(class_of(LocusProblem(e, f, 0, "sym")), ctx)
+        assert ctop_wedge(ctx) == expression_to_poly(class_of(LocusProblem(e, f, 0, "skew")), ctx)
 
 
 @pytest.mark.parametrize("f,n", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 1)])

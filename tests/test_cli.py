@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from qlocus.cli import main
+from qlocus.verify import WORKED_CLASSES
 from test_locus import generic_degree
 
 
@@ -270,3 +272,23 @@ def test_traced_layers_resolve_under_src():
         for part in outer:
             owner = getattr(owner, part)
         assert callable(vars(owner).get(attr)), name
+
+
+def test_reproduce_examples_script_prints_the_worked_classes_and_degrees():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_examples.py")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert lines[-1].startswith("done in ")
+    text = "\n".join(lines[:-1])
+    for (e, f, r, sym), want in WORKED_CLASSES.items():
+        header = rf"^\(e={e}, f={f}, r={r}, {sym}\)  codim \d+:\n  (.*)$"
+        assert re.search(header, text, re.M)[1] == want
+    assert "codim 11, 15 terms:" in text
+    assert re.findall(r"codim=\d+ degree=(\d+)$", text, re.M) == ["4", "16", "2", "8"]

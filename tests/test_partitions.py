@@ -93,7 +93,15 @@ def test_strictness():
 
 
 def test_remove_part():
-    assert Partition((5, 3, 1)).remove_part(2) == Partition((5, 1))
+    P = Partition((5, 3, 1))
+    assert P.remove_part(2) == Partition((5, 1))
+    assert (P.remove_part(1), P.remove_part(3)) == (Partition((3, 1)), Partition((5, 3)))
+    # no part 0, -1 or 4: slicing would drop the wrong part or none at all
+    for i in (0, -1, 4):
+        with pytest.raises(ValueError, match="has no part"):
+            P.remove_part(i)
+    with pytest.raises(ValueError, match="has no part"):
+        Partition(()).remove_part(1)
 
 
 def test_staircase():

@@ -1,10 +1,16 @@
-"""The record classes are plain classes with ``__slots__``, so that a CLI
-start never imports ``dataclasses``.  They keep the contract the
-decorators gave them: frozen records refuse assignment, the four value
-records compare and hash by their fields, alphabets compare by identity,
-and every constructor takes keywords and keeps its defaults."""
+"""The record classes derive from the two bases of ``qlocus.records``,
+plain classes with ``__slots__``, so that a CLI start never imports
+``dataclasses``.  They keep the contract the decorators gave them: every
+``Frozen`` record refuses assignment, the ``Value`` records compare and
+hash by their fields, alphabets compare by identity, and every
+constructor takes keywords and keeps its defaults.  Every record of the
+package is listed below, so a new one cannot skip these tests."""
+import importlib
+import pkgutil
+
 import pytest
 
+import qlocus
 from qlocus.alphabets import Alphabet, VirtualAlphabet
 from qlocus.gysin import (
     FlagSetup,
@@ -16,6 +22,7 @@ from qlocus.gysin import (
 from qlocus.locus import ClassExpression, FlagModel, IdentityCheck, LocusProblem
 from qlocus.partitions import Partition
 from qlocus.polyring import Ring
+from qlocus.records import Frozen, Value
 from qlocus.verify import CaseResult, run_suites
 
 RING = Ring([("a", 3)])
@@ -33,15 +40,19 @@ FROZEN = [
     (CaseResult("schur.resultant", "n=1 m=1", True), "ok"),
     (PushforwardInstance(3, 1), "ctop_rq"),
     (FlagModel(2, 0, 1), "rs_diff"),
+    (Partition((2, 1)), "parts"),
+    (PushforwardCheck(1, 0, Partition(), 1, RING.one, RING.one), "computed"),
+    (IdentityCheck("sym", 2, 0, 1, RING.one, RING.one, RING.one), "via_product"),
 ]
 
 
 @pytest.mark.parametrize("record, field", FROZEN, ids=[type(r).__name__ for r, _ in FROZEN])
 def test_frozen_records_refuse_assignment(record, field):
     before = getattr(record, field)
-    with pytest.raises(AttributeError):
+    message = f"{type(record).__name__} is immutable"
+    with pytest.raises(AttributeError, match=message):
         setattr(record, field, None)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match=message):
         record.extra = 1
     assert getattr(record, field) is before
 
@@ -63,6 +74,35 @@ def test_value_records_compare_and_hash_by_fields(cls, fields, other):
     assert len({a, b}) == 1
     assert a != cls(*other)
     assert a != fields
+
+
+def test_value_records_of_another_type_differ():
+    class Point(Value):
+        __slots__ = ("x",)
+
+        def __init__(self, x):
+            self._set(x=x)
+
+    class Tagged(Point):
+        __slots__ = ()
+
+    assert Point(1) == Point(1) and Point(1) != Point(2)
+    assert Point(1) != Tagged(1) and Tagged(1) != Point(1)
+
+
+def _records(cls):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("qlocus."):
+            yield sub
+        yield from _records(sub)
+
+
+def test_every_record_of_the_package_is_under_contract():
+    for info in pkgutil.iter_modules(qlocus.__path__):
+        importlib.import_module(f"qlocus.{info.name}")
+    records = set(_records(Frozen)) - {Value}
+    assert records == {type(r) for r, _ in FROZEN}
+    assert {cls for cls in records if issubclass(cls, Value)} == {v[0] for v in VALUES}
 
 
 def test_alphabets_compare_by_identity():

@@ -39,6 +39,7 @@ from qlocus.schur import (
     schur_q,
     schur_s,
     schur_skew,
+    schur_sum,
 )
 
 
@@ -251,8 +252,15 @@ def test_schur_s_is_symmetric(n, data):
 def test_skew_requires_containment():
     ring = Ring([("x", 2)])
     A = Alphabet(ring, ring.block("x"))
-    with pytest.raises(ValueError):
+    # the message names the caller's shapes, not the conjugates the
+    # determinant is built on
+    with pytest.raises(ValueError, match=r"\[2,2\] is not contained in \[2,1\]"):
         schur_skew(Partition((2, 1)), Partition((2, 2)), A)
+    # the determinant has length(lam) rows, so it would drop the extra
+    # parts of mu: s_{[1]/[1,1]} read as 1 and s_{[2]/[1,1]} as h_1
+    for lam, mu in [((1,), (1, 1)), ((2,), (1, 1)), ((2, 1), (3,))]:
+        with pytest.raises(ValueError, match="is not contained in"):
+            jacobi_trudi(Partition(lam), Partition(mu), A)
 
 
 @given(st.data())
@@ -501,6 +509,44 @@ def test_rectangle_plus_partition_factors_on_difference():
         I = Partition(parts)
         lhs = jacobi_trudi(R.add(I), Partition(), v)
         assert lhs == jacobi_trudi(R, Partition(), v) * schur_s(I, A), parts
+
+
+# ---------------------------------------------------------------- Schur sums
+
+
+def literal_schur_sum(kind, terms, a, d):
+    """Reference for schur_sum: a sum of Polys, one scaled product per term."""
+    x = {"Q": schur_q, "P": schur_p, "s": schur_s}[kind]
+    total = a.ring.zero
+    for K, L, c in terms:
+        total = total + (x(K, a) * schur_s(L, d)).scale(c)
+    return total
+
+
+@pytest.mark.parametrize("kind", ["Q", "P", "s"])
+def test_schur_sum_matches_a_sum_of_polys(kind):
+    ctx = make_model("independent", 3, 2)
+    a, d = ctx.F, ctx.e_minus_f()
+    Ks = strict_partitions_bounded(3, 2)
+    Ls = subpartitions(Partition((2, 1)))
+    coeffs = (3, -1, 1, -2, 5)
+    pairs = [(K, L) for K in Ks for L in Ls]
+    terms = [(K, L, coeffs[i % len(coeffs)]) for i, (K, L) in enumerate(pairs)]
+    got = schur_sum(kind, terms, a, d)
+    assert got == literal_schur_sum(kind, terms, a, d) and not got.is_zero()
+    # a term and its negative cancel, and a cancelled key leaves no entry
+    K, L, c = terms[-1]
+    assert schur_sum(kind, terms[:-1], a, d) == schur_sum(kind, terms + [(K, L, -c)], a, d)
+    assert schur_sum(kind, terms + [(K, L, -c) for K, L, c in terms], a, d).terms == {}
+    assert schur_sum(kind, [], a, d) == 0
+
+
+def test_schur_sum_refuses_an_unknown_kind_and_a_non_integer_coefficient():
+    ctx = make_model("independent", 3, 2)
+    with pytest.raises(ValueError, match="kind must be"):
+        schur_sum("S", [(Partition((1,)), Partition(), 1)], ctx.F, ctx.E)
+    with pytest.raises(TypeError, match="coefficients are ints"):
+        schur_sum("s", [(Partition((1,)), Partition(), 0.5)], ctx.F, ctx.E)
 
 
 # ------------------------------------------------- hook factorization and side
