@@ -13,7 +13,6 @@ from .alphabets import Alphabet, ModelContext, VirtualAlphabet, difference, make
 from .gysin import FlagSetup, GrassmannSetup, flag_pushforward, grassmann_pushforward
 from .locus import (
     ClassExpression,
-    FlagModel,
     LocusProblem,
     class_of,
     class_schur_pair_expansion,
@@ -22,8 +21,8 @@ from .locus import (
     expected_codim,
     expression_to_poly,
     projective_degree,
-    verify_identity,
 )
 from .partitions import Partition, staircase
 from .polyring import Poly, Ring
 from .schur import schur_p, schur_q, schur_s, schur_skew
+from .verify import FlagModel, verify_identity

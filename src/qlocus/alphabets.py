@@ -129,7 +129,7 @@ def complete_series(v, upto: int) -> list[Poly]:
     key = ("h", v.sig())
     grown = ring.memo.get(key)
     if grown is None or len(grown[0]) <= upto:
-        grown = _complete_series(v, max(upto, 8), grown)
+        grown = _complete_series(v, upto, grown)
         ring.memo[key] = grown
     return grown[0]
 

@@ -20,16 +20,14 @@ evaluated term by term on packed keys, so the result is exact by
 construction: no rational function and no polynomial division anywhere.
 A P that is not symmetric in each designated part is rejected rather
 than symmetrized.
+
+The checks of these push-forwards against the closed Q/P formulas live
+in :mod:`qlocus.verify`.
 """
 from __future__ import annotations
 
-import math
-
-from .alphabets import Alphabet, tensor_sum_product
-from .partitions import Partition
 from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric
 from .records import Frozen, Value
-from .schur import schur_p, schur_q
 
 
 class BlockSymmetryError(ValueError):
@@ -152,74 +150,3 @@ def flag_pushforward(P: Poly, fs: FlagSetup, ring: Ring) -> Poly:
     inner = GrassmannSetup(ring, fs.fq_vars() + fs.k_vars, fs.p)
     outer = GrassmannSetup(ring, fs.fq_vars() + fs.s_vars(), fs.p)
     return grassmann_pushforward(grassmann_pushforward(P, inner), outer)
-
-
-class PushforwardCheck(Frozen):
-    """Outcome of one instance of the Q/P push-forward formula on
-    G^q(E): pi_*(c_top(R ⊗ Q) P_I(Q)) against d * P_I(E); immutable."""
-
-    __slots__ = ("e", "q", "I", "d", "computed", "expected")
-
-    def __init__(self, e: int, q: int, I: Partition, d: int, computed: Poly, expected: Poly):
-        self._set(e=e, q=q, I=I, d=d, computed=computed, expected=expected)
-
-    @property
-    def ok(self) -> bool:
-        return self.computed == self.expected
-
-
-def pushforward_degree_factor(e: int, q: int, I: Partition) -> int:
-    """The integer d: zero when (q - k)(e - q) is odd, otherwise
-    binomial(floor((e-k)/2), floor((q-k)/2)) with k the length of I."""
-    k = I.length
-    r = e - q
-    if ((q - k) * r) % 2:
-        return 0
-    return math.comb((e - k) // 2, (q - k) // 2)
-
-
-class PushforwardInstance(Frozen):
-    """G^q(E) on its own e-variable ring: the setup, c_top(R ⊗ Q), and
-    the alphabets of Q and E; immutable.  One instance serves every check
-    at (e, q), so the ring memo builds each series and Q-polynomial once."""
-
-    __slots__ = ("e", "q", "setup", "ctop_rq", "quotient", "total")
-
-    def __init__(self, e: int, q: int):
-        ring = Ring([("a", e)])
-        quotient = Alphabet(ring, tuple(range(q)))
-        ctop_rq = tensor_sum_product(Alphabet(ring, tuple(range(q, e))), quotient)
-        setup = GrassmannSetup(ring, tuple(range(e)), q)
-        total = Alphabet(ring, tuple(range(e)))
-        self._set(e=e, q=q, setup=setup, ctop_rq=ctop_rq, quotient=quotient, total=total)
-
-
-def verify_pushforward_coefficient(I: Partition, inst: PushforwardInstance) -> PushforwardCheck:
-    """Exercise pi_*(c_top(R ⊗ Q) P_I(Q)) = d P_I(E) on G^q(E) by brute
-    force on the instance's ring."""
-    e, q = inst.e, inst.q
-    if not I.is_strict() or I.length > q:
-        raise ValueError(f"need a strict partition with at most q={q} parts, got {I}")
-    computed = grassmann_pushforward(inst.ctop_rq * schur_p(I, inst.quotient), inst.setup)
-    d = pushforward_degree_factor(e, q, I)
-    return PushforwardCheck(e, q, I, d, computed, schur_p(I, inst.total).scale(d))
-
-
-def verify_pushforward_special(inst: PushforwardInstance, I: Partition) -> tuple[bool, bool]:
-    """The two boundary cases with their own closed forms:
-
-    * length(I) = q:     pi_*(c_top(R ⊗ Q) Q_I(Q)) = Q_I(E)
-    * length(I) = q - 1: the same with P gives P_I(E) for even e - q,
-                         and 0 for odd e - q.
-
-    Returns (applicable, ok).
-    """
-    e, q = inst.e, inst.q
-    if I.length == q:
-        lhs = grassmann_pushforward(inst.ctop_rq * schur_q(I, inst.quotient), inst.setup)
-        return True, lhs == schur_q(I, inst.total)
-    if I.length == q - 1:
-        lhs = grassmann_pushforward(inst.ctop_rq * schur_p(I, inst.quotient), inst.setup)
-        want = schur_p(I, inst.total) if (e - q) % 2 == 0 else inst.setup.ring.zero
-        return True, lhs == want
-    return False, True

@@ -12,24 +12,24 @@ with the staircase and the Q/P flavour depending on the symmetry type
 and the parity of r.  The same class is also computable as a Gysin
 push-forward from a Grassmannian bundle of kernels, which is the
 brute-force check; a mnemonic reindexing of the sum and a Schur-pair
-expansion over independent E and F round out the interfaces.
+expansion over independent E and F round out the interfaces.  The
+comparisons of these routes, and the push-forward identities along the
+kernel flag, live in :mod:`qlocus.verify`.
 """
 from __future__ import annotations
 
-from .alphabets import Alphabet, ModelContext, difference, make_model, tensor_sum_product
-from .chern import ctop_sym2, ctop_wedge2, skew_schur_sum, staircase_schur_sum, staircase_terms
-from .gysin import FlagSetup, GrassmannSetup, flag_pushforward, grassmann_pushforward
-from .partitions import Partition, rectangle_partitions, staircase
+from .alphabets import Alphabet, ModelContext, difference, tensor_sum_product
+from .chern import ctop_sym2, ctop_wedge2, staircase_terms
+from .gysin import GrassmannSetup, grassmann_pushforward
+from .partitions import Partition, rectangle_partitions
 from .polyring import Poly, Ring
-from .records import Frozen, Value
+from .records import Value
 from .schur import (
     SchurPairExpansion,
     expand_schur_basis,
-    expand_schur_pair,
     schur_difference_split,
     schur_p,
     schur_q,
-    schur_s,
     schur_sum,
 )
 
@@ -241,119 +241,3 @@ def projective_degree(e_twists, f_twists, r: int, symmetry: str) -> tuple[int, i
     E = Alphabet(ring, (), values=tuple(map(int, e_twists)))
     F = Alphabet(ring, (), values=tuple(map(int, f_twists)))
     return codim, schur_sum(expr.kind, expr.terms, F, difference(E, F)).constant()
-
-
-# -- push-forward identities along the kernel flag --------------------
-
-
-class IdentityCheck(Frozen):
-    """Three members of one push-forward identity: the staircase-sum
-    integrand and its skew-Schur rewriting, both pushed down the flag,
-    against the closed form; optionally the same push-forward computed
-    through the ambient product of Grassmannians; immutable.  For kind
-    "sym" every member carries a factor 2^p, so all of them are integral."""
-
-    __slots__ = ("kind", "f", "p", "n", "lhs", "middle", "rhs", "via_product")
-
-    def __init__(
-        self, kind: str, f: int, p: int, n: int,
-        lhs: Poly, middle: Poly, rhs: Poly, via_product: Poly | None = None,
-    ):
-        self._set(  # kind "sym" | "skew"
-            kind=kind, f=f, p=p, n=n, lhs=lhs, middle=middle, rhs=rhs, via_product=via_product
-        )
-
-    @property
-    def ok(self) -> bool:
-        if not (self.lhs == self.rhs and self.middle == self.rhs):
-            return False
-        return self.via_product is None or self.via_product == self.rhs
-
-
-class FlagModel(Frozen):
-    """The surjection model of ranks (f + n, f) with the kernel flag of
-    step p: the model ``ctx``, the flag setup ``flag``, S* and R* - S*;
-    immutable.  One model serves both kinds of :func:`verify_identity`,
-    so the ring memo builds each series and Q-polynomial once."""
-
-    __slots__ = ("ctx", "flag", "s_dual", "rs_diff")
-
-    def __init__(self, f: int, p: int, n: int):
-        ctx = make_model("surjection", f + n, f)
-        flag = FlagSetup(ctx.ring.block("f"), ctx.ring.block("k"), p)
-        s_dual = Alphabet(ctx.ring, flag.s_vars(), negated=True)
-        r_dual = Alphabet(ctx.ring, flag.s_vars() + flag.k_vars, negated=True)
-        self._set(ctx=ctx, flag=flag, s_dual=s_dual, rs_diff=difference(r_dual, s_dual))
-
-
-def _identity_integrand(kind: str, f: int, p: int, n: int, s_dual: Alphabet, rs_diff):
-    """(s_rho(S*), the staircase-sum integrand) of :func:`verify_identity`:
-    rho = rho_{p-1} and the Q-staircase sum for "sym", rho = rho_p and
-    the P-staircase sum for "skew"."""
-    skew = kind == "skew"
-    mult = schur_s(staircase(p - 1 + skew), s_dual)
-    stair = staircase_schur_sum("P" if skew else "Q", f - p - skew, f - p, n, s_dual, rs_diff)
-    return mult, stair * mult
-
-
-def verify_identity(kind: str, model: FlagModel, cross_check: bool = False) -> IdentityCheck:
-    """Push two equal integrands down Fl_{f-p, e-p}(F, E) of the model
-    and compare with the closed staircase sum in F* and E* - F*.  For kind "sym", with
-    all three members multiplied by 2^p so that every coefficient is an
-    integer:
-
-      [Q-staircase sum over the (f-p) x n box on S*, R*-S*]          * s_{rho_{p-1}}(S*)
-      2^{f-p} * [skew sum over T = (e-p, ..., n+1) on S*, R*-S*]     * s_{rho_{p-1}}(S*)
-      == 2^p * [Q-staircase sum over the (f-2p) x n box on F*, E*-F*],
-
-    with staircases rho_{f-p} and rho_{f-2p}.  For kind "skew", with no
-    powers of 2:
-
-      [P-staircase sum over the (f-p) x n box on S*, R*-S*] * s_{rho_p}(S*)
-      [skew sum over T = (e-p-1, ..., n) on S*, R*-S*]      * s_{rho_p}(S*)
-      == [P-staircase sum over the (f-2p) x n box on F*, E*-F*],
-
-    with staircases rho_{f-p-1} and rho_{f-2p-1}.  ``cross_check`` also
-    evaluates the first member through the product of Grassmannians.
-    """
-    if kind not in ("sym", "skew"):
-        raise ValueError(f"kind must be 'sym' or 'skew', got {kind!r}")
-    skew = kind == "skew"
-    ctx, fs, s_dual, rs_diff = model.ctx, model.flag, model.s_dual, model.rs_diff
-    f, p, n, e = fs.f, fs.p, fs.n, ctx.e
-    mult, member1 = _identity_integrand(kind, f, p, n, s_dual, rs_diff)
-    T = Partition(tuple(range(e - p - skew, n - skew, -1)))
-    member2 = skew_schur_sum(T, s_dual, rs_diff) * mult
-    f_dual = ctx.F.dual()
-    ef_diff = difference(ctx.E.dual(), f_dual)
-    rhs = staircase_schur_sum("P" if skew else "Q", f - 2 * p - skew, f - 2 * p, n, f_dual, ef_diff)
-    if not skew:
-        member2 = member2.scale(2 ** (f - p))
-        rhs = rhs.scale(2**p)
-    lhs = flag_pushforward(member1, fs, ctx.ring)
-    middle = flag_pushforward(member2, fs, ctx.ring)
-    via = _identity_via_product(kind, f, p, n, ctx) if cross_check else None
-    return IdentityCheck(kind, f, p, n, lhs, middle, rhs, via)
-
-
-def _identity_via_product(kind: str, f: int, p: int, n: int, ctx: ModelContext) -> Poly:
-    """Evaluate the identity's left member through the product of
-    Grassmannians G_{f-p}(F) x G_{e-p}(E) instead of the flag.
-
-    The flag embeds in the product as the zero locus of S' -> E/R', so
-    the push-forward picks up the factor c_top(S'* ⊗ E/R').  The result,
-    a symmetric function pair in fresh alphabets, is mapped back onto
-    the Chern roots of F and E.
-    """
-    e = f + n
-    ring = Ring([("u", f), ("v", e)])
-    u = ring.block("u")
-    v = ring.block("v")
-    s_dual = Alphabet(ring, u[: f - p], negated=True)
-    r_dual = Alphabet(ring, v[: e - p], negated=True)
-    rs_diff = difference(r_dual, s_dual)
-    correction = tensor_sum_product(s_dual, Alphabet(ring, v[e - p :]))
-    integrand = _identity_integrand(kind, f, p, n, s_dual, rs_diff)[1] * correction
-    pushed = grassmann_pushforward(integrand, GrassmannSetup(ring, u[f - p :] + u[: f - p], p))
-    pushed = grassmann_pushforward(pushed, GrassmannSetup(ring, v[e - p :] + v[: e - p], p))
-    return expand_schur_pair(pushed, Alphabet(ring, u), Alphabet(ring, v)).to_poly(ctx.F, ctx.E)

@@ -86,7 +86,9 @@ class Partition(Frozen):
 
     def part(self, i: int) -> int:
         """The i-th part (1-based), zero beyond the length."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+        if i < 1:
+            raise ValueError(f"{self} has no part {i}: parts are numbered from 1")
+        return self.parts[i - 1] if i <= len(self.parts) else 0
 
     def padded(self, n: int) -> tuple[int, ...]:
         """Parts zero-padded on the right to length ``n`` (must fit)."""

@@ -4,8 +4,14 @@ checked by brute-force polynomial arithmetic over bounded rank ranges.
 Each case is exact — a polynomial identity either holds or it does not —
 so a suite returns a flat list of :class:`CaseResult` and the CLI turns
 them into ``CASE <name> <params> : PASS/FAIL`` lines.
+
+The check drivers, with their records and fixtures, live here beside
+the suites that run them, so the layers they judge (``gysin``,
+``locus``) keep only their production routes.
 """
 from __future__ import annotations
+
+import math
 
 from .alphabets import Alphabet, difference, make_model, pair_sum_product, tensor_sum_product
 from .chern import (
@@ -17,16 +23,11 @@ from .chern import (
     ctop_wedge,
     ctop_wedge2,
     ctop_wedge_skew,
+    skew_schur_sum,
+    staircase_schur_sum,
 )
-from .gysin import (
-    GrassmannSetup,
-    PushforwardInstance,
-    grassmann_pushforward,
-    verify_pushforward_coefficient,
-    verify_pushforward_special,
-)
+from .gysin import FlagSetup, GrassmannSetup, flag_pushforward, grassmann_pushforward
 from .locus import (
-    FlagModel,
     LocusProblem,
     class_of,
     class_schur_pair_expansion,
@@ -34,10 +35,9 @@ from .locus import (
     class_via_pushforward,
     expression_to_poly,
     projective_degree,
-    verify_identity,
 )
 from .partitions import Partition, rectangle, staircase, strict_partitions_bounded
-from .polyring import Ring, product
+from .polyring import Poly, Ring, product
 from .records import Frozen
 from .schur import expand_schur_pair, jacobi_trudi, pfaffian_q, schur_p, schur_q, schur_s
 
@@ -134,6 +134,80 @@ def suite_chern(max_f: int = 3, max_n: int = 2) -> list[CaseResult]:
         ok = ok and ctop_wedge2(A) == pair_sum_product(A, strict=True)
         out.append(CaseResult("chern.square", f"e={e}", ok))
     return out
+
+
+# -- the Q/P push-forward formula on G^q(E) --------------------------
+
+
+class PushforwardCheck(Frozen):
+    """Outcome of one instance of the Q/P push-forward formula on
+    G^q(E): pi_*(c_top(R ⊗ Q) P_I(Q)) against d * P_I(E); immutable."""
+
+    __slots__ = ("e", "q", "I", "d", "computed", "expected")
+
+    def __init__(self, e: int, q: int, I: Partition, d: int, computed: Poly, expected: Poly):
+        self._set(e=e, q=q, I=I, d=d, computed=computed, expected=expected)
+
+    @property
+    def ok(self) -> bool:
+        return self.computed == self.expected
+
+
+def pushforward_degree_factor(e: int, q: int, I: Partition) -> int:
+    """The integer d: zero when (q - k)(e - q) is odd, otherwise
+    binomial(floor((e-k)/2), floor((q-k)/2)) with k the length of I."""
+    k = I.length
+    r = e - q
+    if ((q - k) * r) % 2:
+        return 0
+    return math.comb((e - k) // 2, (q - k) // 2)
+
+
+class PushforwardInstance(Frozen):
+    """G^q(E) on its own e-variable ring: the setup, c_top(R ⊗ Q), and
+    the alphabets of Q and E; immutable.  One instance serves every check
+    at (e, q), so the ring memo builds each series and Q-polynomial once."""
+
+    __slots__ = ("e", "q", "setup", "ctop_rq", "quotient", "total")
+
+    def __init__(self, e: int, q: int):
+        ring = Ring([("a", e)])
+        quotient = Alphabet(ring, tuple(range(q)))
+        ctop_rq = tensor_sum_product(Alphabet(ring, tuple(range(q, e))), quotient)
+        setup = GrassmannSetup(ring, tuple(range(e)), q)
+        total = Alphabet(ring, tuple(range(e)))
+        self._set(e=e, q=q, setup=setup, ctop_rq=ctop_rq, quotient=quotient, total=total)
+
+
+def verify_pushforward_coefficient(I: Partition, inst: PushforwardInstance) -> PushforwardCheck:
+    """Exercise pi_*(c_top(R ⊗ Q) P_I(Q)) = d P_I(E) on G^q(E) by brute
+    force on the instance's ring."""
+    e, q = inst.e, inst.q
+    if not I.is_strict() or I.length > q:
+        raise ValueError(f"need a strict partition with at most q={q} parts, got {I}")
+    computed = grassmann_pushforward(inst.ctop_rq * schur_p(I, inst.quotient), inst.setup)
+    d = pushforward_degree_factor(e, q, I)
+    return PushforwardCheck(e, q, I, d, computed, schur_p(I, inst.total).scale(d))
+
+
+def verify_pushforward_special(inst: PushforwardInstance, I: Partition) -> tuple[bool, bool]:
+    """The two boundary cases with their own closed forms:
+
+    * length(I) = q:     pi_*(c_top(R ⊗ Q) Q_I(Q)) = Q_I(E)
+    * length(I) = q - 1: the same with P gives P_I(E) for even e - q,
+                         and 0 for odd e - q.
+
+    Returns (applicable, ok).
+    """
+    e, q = inst.e, inst.q
+    if I.length == q:
+        lhs = grassmann_pushforward(inst.ctop_rq * schur_q(I, inst.quotient), inst.setup)
+        return True, lhs == schur_q(I, inst.total)
+    if I.length == q - 1:
+        lhs = grassmann_pushforward(inst.ctop_rq * schur_p(I, inst.quotient), inst.setup)
+        want = schur_p(I, inst.total) if (e - q) % 2 == 0 else inst.setup.ring.zero
+        return True, lhs == want
+    return False, True
 
 
 def suite_gysin(max_e: int = 5, max_weight: int = 5) -> list[CaseResult]:
@@ -245,6 +319,113 @@ def suite_locus(max_e: int = 4) -> list[CaseResult]:
         lit = expand_schur_pair(expression_to_poly(class_of(prob), ctx), ctx.F, ctx.E)
         out.append(CaseResult("locus.schur-pair", f"e={e} f={f} r={r} {sym}", fast == lit))
     return out
+
+
+# -- push-forward identities along the kernel flag --------------------
+
+
+class IdentityCheck(Frozen):
+    """Three members of one push-forward identity: the staircase-sum
+    integrand and its skew-Schur rewriting, both pushed down the flag,
+    against the closed form; immutable.  For kind "sym" every member
+    carries a factor 2^p, so all of them are integral."""
+
+    __slots__ = ("kind", "f", "p", "n", "lhs", "middle", "rhs")
+
+    def __init__(self, kind: str, f: int, p: int, n: int, lhs: Poly, middle: Poly, rhs: Poly):
+        self._set(kind=kind, f=f, p=p, n=n, lhs=lhs, middle=middle, rhs=rhs)  # kind "sym" | "skew"
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs == self.rhs and self.middle == self.rhs
+
+
+class FlagModel(Frozen):
+    """The surjection model of ranks (f + n, f) with the kernel flag of
+    step p: the model ``ctx``, the flag setup ``flag``, S* and R* - S*;
+    immutable.  One model serves both kinds of :func:`verify_identity`,
+    so the ring memo builds each series and Q-polynomial once."""
+
+    __slots__ = ("ctx", "flag", "s_dual", "rs_diff")
+
+    def __init__(self, f: int, p: int, n: int):
+        ctx = make_model("surjection", f + n, f)
+        flag = FlagSetup(ctx.ring.block("f"), ctx.ring.block("k"), p)
+        s_dual = Alphabet(ctx.ring, flag.s_vars(), negated=True)
+        r_dual = Alphabet(ctx.ring, flag.s_vars() + flag.k_vars, negated=True)
+        self._set(ctx=ctx, flag=flag, s_dual=s_dual, rs_diff=difference(r_dual, s_dual))
+
+
+def _identity_integrand(kind: str, f: int, p: int, n: int, s_dual: Alphabet, rs_diff):
+    """(s_rho(S*), the staircase-sum integrand) of :func:`verify_identity`:
+    rho = rho_{p-1} and the Q-staircase sum for "sym", rho = rho_p and
+    the P-staircase sum for "skew"."""
+    if kind not in ("sym", "skew"):
+        raise ValueError(f"kind must be 'sym' or 'skew', got {kind!r}")
+    skew = kind == "skew"
+    mult = schur_s(staircase(p - 1 + skew), s_dual)
+    stair = staircase_schur_sum("P" if skew else "Q", f - p - skew, f - p, n, s_dual, rs_diff)
+    return mult, stair * mult
+
+
+def verify_identity(kind: str, model: FlagModel) -> IdentityCheck:
+    """Push two equal integrands down Fl_{f-p, e-p}(F, E) of the model
+    and compare with the closed staircase sum in F* and E* - F*.  For kind "sym", with
+    all three members multiplied by 2^p so that every coefficient is an
+    integer:
+
+      [Q-staircase sum over the (f-p) x n box on S*, R*-S*]          * s_{rho_{p-1}}(S*)
+      2^{f-p} * [skew sum over T = (e-p, ..., n+1) on S*, R*-S*]     * s_{rho_{p-1}}(S*)
+      == 2^p * [Q-staircase sum over the (f-2p) x n box on F*, E*-F*],
+
+    with staircases rho_{f-p} and rho_{f-2p}.  For kind "skew", with no
+    powers of 2:
+
+      [P-staircase sum over the (f-p) x n box on S*, R*-S*] * s_{rho_p}(S*)
+      [skew sum over T = (e-p-1, ..., n) on S*, R*-S*]      * s_{rho_p}(S*)
+      == [P-staircase sum over the (f-2p) x n box on F*, E*-F*],
+
+    with staircases rho_{f-p-1} and rho_{f-2p-1}.
+    """
+    ctx, fs, s_dual, rs_diff = model.ctx, model.flag, model.s_dual, model.rs_diff
+    f, p, n, e = fs.f, fs.p, fs.n, ctx.e
+    mult, member1 = _identity_integrand(kind, f, p, n, s_dual, rs_diff)
+    skew = kind == "skew"
+    T = Partition(tuple(range(e - p - skew, n - skew, -1)))
+    member2 = skew_schur_sum(T, s_dual, rs_diff) * mult
+    f_dual = ctx.F.dual()
+    ef_diff = difference(ctx.E.dual(), f_dual)
+    rhs = staircase_schur_sum("P" if skew else "Q", f - 2 * p - skew, f - 2 * p, n, f_dual, ef_diff)
+    if not skew:
+        member2 = member2.scale(2 ** (f - p))
+        rhs = rhs.scale(2**p)
+    lhs = flag_pushforward(member1, fs, ctx.ring)
+    middle = flag_pushforward(member2, fs, ctx.ring)
+    return IdentityCheck(kind, f, p, n, lhs, middle, rhs)
+
+
+def identity_via_product(kind: str, model: FlagModel) -> Poly:
+    """The left member of :func:`verify_identity`, pushed forward through
+    the product of Grassmannians G_{f-p}(F) x G_{e-p}(E), not the flag.
+
+    The flag embeds in the product as the zero locus of S' -> E/R', so
+    the push-forward picks up the factor c_top(S'* ⊗ E/R').  The result,
+    a symmetric function pair in fresh alphabets, is mapped back onto
+    the Chern roots of F and E of the model.
+    """
+    ctx, fs = model.ctx, model.flag
+    f, p, n, e = fs.f, fs.p, fs.n, ctx.e
+    ring = Ring([("u", f), ("v", e)])
+    u = ring.block("u")
+    v = ring.block("v")
+    s_dual = Alphabet(ring, u[: f - p], negated=True)
+    r_dual = Alphabet(ring, v[: e - p], negated=True)
+    rs_diff = difference(r_dual, s_dual)
+    correction = tensor_sum_product(s_dual, Alphabet(ring, v[e - p :]))
+    integrand = _identity_integrand(kind, f, p, n, s_dual, rs_diff)[1] * correction
+    pushed = grassmann_pushforward(integrand, GrassmannSetup(ring, u[f - p :] + u[: f - p], p))
+    pushed = grassmann_pushforward(pushed, GrassmannSetup(ring, v[e - p :] + v[: e - p], p))
+    return expand_schur_pair(pushed, Alphabet(ring, u), Alphabet(ring, v)).to_poly(ctx.F, ctx.E)
 
 
 def suite_identities(max_f: int = 4, max_p: int = 1, max_n: int = 1) -> list[CaseResult]:

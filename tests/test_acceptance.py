@@ -17,20 +17,13 @@ from qlocus.chern import (
     ctop_wedge,
     ctop_wedge_skew,
 )
-from qlocus.gysin import (
-    PushforwardInstance,
-    verify_pushforward_coefficient,
-    verify_pushforward_special,
-)
 from qlocus.locus import (
-    FlagModel,
     LocusProblem,
     class_of,
     class_schur_pair_expansion,
     class_via_pushforward,
     expression_to_poly,
     projective_degree,
-    verify_identity,
 )
 from qlocus.partitions import (
     Partition,
@@ -41,7 +34,14 @@ from qlocus.partitions import (
 )
 from qlocus.polyring import Ring, product
 from qlocus.schur import jacobi_trudi, pfaffian_q, schur_p, schur_q, schur_s
-from qlocus.verify import run_suites
+from qlocus.verify import (
+    FlagModel,
+    PushforwardInstance,
+    run_suites,
+    verify_identity,
+    verify_pushforward_coefficient,
+    verify_pushforward_special,
+)
 
 
 @contextlib.contextmanager

@@ -144,6 +144,25 @@ def test_complete_sym_extends_the_memoized_series(monkeypatch):
         assert P == literal_series_coefficient(ring, i, A.roots(), B.dual().roots())
 
 
+def test_complete_sym_builds_the_series_only_to_the_degree_asked(monkeypatch):
+    # a fresh alphabet asked for s_2 builds s_0..s_2 and nothing beyond:
+    # the cost of a series grows with its degree, and E - F in the
+    # independent model runs over e + f variables
+    calls = []
+    build = alphabets._complete_series
+
+    def counting(v, upto, grown=None):
+        calls.append(upto)
+        return build(v, upto, grown)
+
+    monkeypatch.setattr(alphabets, "_complete_series", counting)
+    ring = Ring([("a", 3), ("b", 2)])
+    A = Alphabet(ring, ring.block("a"))
+    B = Alphabet(ring, ring.block("b"))
+    assert complete_sym(2, difference(A, B)) == literal_series_coefficient(ring, 2, A.roots(), B.roots())
+    assert calls == [2]
+
+
 def test_series_overflow_leaves_the_memo_whole():
     ring = Ring([("a", 1)])
     A = Alphabet(ring, ring.block("a"))

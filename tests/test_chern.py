@@ -14,10 +14,11 @@ from qlocus.chern import (
     ctop_wedge_skew,
     skew_schur_sum,
 )
-from qlocus.locus import FlagModel, LocusProblem, class_of, expression_to_poly
+from qlocus.locus import LocusProblem, class_of, expression_to_poly
 from qlocus.partitions import Partition, subpartitions
 from qlocus.polyring import Ring, product
 from qlocus.schur import jacobi_trudi
+from qlocus.verify import FlagModel
 
 
 def literal_skew_schur_sum(T, a, d):

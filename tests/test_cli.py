@@ -258,6 +258,17 @@ def test_rendered_polynomials_keep_their_bytes(capsys, request_line):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[request_line]["sha256"]
 
 
+def test_full_verify_keeps_its_bytes(capsys):
+    # every suite at its default bounds, 444 cases: the golden pool runs
+    # only bounded suites, so this pins the rest of the check drivers
+    code, out, err = run(capsys, "verify")
+    assert (code, err) == (0, "")
+    assert out.endswith("SUMMARY 444/444 PASS\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "553824147972ef24e3311a915a2f95c1ce5b545e0c3bc9577871e2bb72e4e560"
+    )
+
+
 def test_traced_layers_resolve_under_src():
     # every layer the benchmark's tracer wraps must still exist, or a
     # traced run dies on start-up

@@ -8,17 +8,19 @@ from qlocus.gysin import (
     BlockSymmetryError,
     FlagSetup,
     GrassmannSetup,
-    PushforwardInstance,
     RepeatedPushforward,
     flag_pushforward,
     grassmann_pushforward,
-    pushforward_degree_factor,
-    verify_pushforward_coefficient,
-    verify_pushforward_special,
 )
 from qlocus.partitions import Partition, rectangle, strict_partitions_bounded, subpartitions
 from qlocus.polyring import Ring, apply_permutation, exact_div, is_symmetric, product
 from qlocus.schur import schur_s
+from qlocus.verify import (
+    PushforwardInstance,
+    pushforward_degree_factor,
+    verify_pushforward_coefficient,
+    verify_pushforward_special,
+)
 
 
 def coset_sum_pushforward(P, setup):

@@ -1,0 +1,48 @@
+"""Which module may import which, read off the source with ``ast``.
+
+The push-forwards in ``gysin`` sit on the polynomial ring alone, and
+every check that compares two routes and returns a verdict lives in
+``verify``, which only the CLI and the package root import: the layers
+keep their production routes, and the cross-checks stay out of them."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qlocus"
+MODULES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def qlocus_imports(tree) -> set[str]:
+    """The qlocus modules a module imports, at any depth in it."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qlocus."):
+            out.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("qlocus."))
+    return out
+
+
+def test_gysin_imports_only_the_ring_and_the_records():
+    assert qlocus_imports(MODULES["gysin"]) == {"polyring", "records"}
+
+
+def test_only_the_cli_and_the_package_import_verify():
+    importers = sorted(name for name, tree in MODULES.items() if "verify" in qlocus_imports(tree))
+    assert importers == ["__init__", "cli"]
+
+
+def test_only_verify_defines_verify_functions():
+    defining = [
+        name
+        for name, tree in MODULES.items()
+        if any(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("verify_")
+            for node in ast.walk(tree)
+        )
+    ]
+    assert defining == ["verify"]

@@ -5,8 +5,6 @@ from qlocus import locus, polyring
 from qlocus.alphabets import VirtualAlphabet, make_model
 from qlocus.locus import (
     ClassExpression,
-    FlagModel,
-    IdentityCheck,
     LocusProblem,
     class_of,
     class_schur_pair_expansion,
@@ -15,11 +13,11 @@ from qlocus.locus import (
     expected_codim,
     expression_to_poly,
     projective_degree,
-    verify_identity,
 )
 from qlocus.partitions import Partition, staircase
 from qlocus.polyring import Ring, apply_substitution, is_symmetric
 from qlocus.schur import expand_schur_pair, schur_s
+from qlocus.verify import FlagModel, IdentityCheck, identity_via_product, verify_identity
 
 
 problems = st.tuples(
@@ -319,12 +317,10 @@ def test_identity_members_skew(f, p, n):
 
 def test_identity_cross_check_via_product_of_grassmannians():
     model = FlagModel(3, 1, 1)
-    chk = verify_identity("sym", model, cross_check=True)
-    assert chk.via_product is not None
-    assert chk.ok
-    chk = verify_identity("skew", model, cross_check=True)
-    assert chk.via_product is not None
-    assert chk.ok
+    for kind in ("sym", "skew"):
+        chk = verify_identity(kind, model)
+        assert chk.ok, kind
+        assert identity_via_product(kind, model) == chk.rhs, kind
 
 
 def test_a_shared_flag_model_gives_the_fresh_results():

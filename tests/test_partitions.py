@@ -47,6 +47,10 @@ def test_basic_accessors():
     assert I.part(1) == 4
     assert I.part(3) == 1
     assert I.part(5) == 0
+    # parts are numbered from 1: part 0 or -1 is an error, not a zero
+    for i in (0, -1):
+        with pytest.raises(ValueError, match="has no part"):
+            I.part(i)
     assert I.padded(5) == (4, 2, 1, 0, 0)
 
 

@@ -12,18 +12,19 @@ import pytest
 
 import qlocus
 from qlocus.alphabets import Alphabet, VirtualAlphabet
-from qlocus.gysin import (
-    FlagSetup,
-    GrassmannSetup,
-    PushforwardCheck,
-    PushforwardInstance,
-    RepeatedPushforward,
-)
-from qlocus.locus import ClassExpression, FlagModel, IdentityCheck, LocusProblem
+from qlocus.gysin import FlagSetup, GrassmannSetup, RepeatedPushforward
+from qlocus.locus import ClassExpression, LocusProblem
 from qlocus.partitions import Partition
 from qlocus.polyring import Ring
 from qlocus.records import Frozen, Value
-from qlocus.verify import CaseResult, run_suites
+from qlocus.verify import (
+    CaseResult,
+    FlagModel,
+    IdentityCheck,
+    PushforwardCheck,
+    PushforwardInstance,
+    run_suites,
+)
 
 RING = Ring([("a", 3)])
 A = Alphabet(RING, (0, 1))
@@ -42,7 +43,7 @@ FROZEN = [
     (FlagModel(2, 0, 1), "rs_diff"),
     (Partition((2, 1)), "parts"),
     (PushforwardCheck(1, 0, Partition(), 1, RING.one, RING.one), "computed"),
-    (IdentityCheck("sym", 2, 0, 1, RING.one, RING.one, RING.one), "via_product"),
+    (IdentityCheck("sym", 2, 0, 1, RING.one, RING.one, RING.one), "rhs"),
 ]
 
 
@@ -124,7 +125,7 @@ def test_keyword_construction_and_defaults():
     chk = PushforwardCheck(e=1, q=0, I=Partition(), d=1, computed=RING.one, expected=RING.one)
     assert chk.ok
     ident = IdentityCheck("sym", 2, 0, 1, lhs=RING.one, middle=RING.one, rhs=RING.one)
-    assert ident.via_product is None and ident.ok
+    assert ident.ok
     assert CaseResult(name="n", params="p", ok=False).render() == "CASE n p : FAIL"
 
 
