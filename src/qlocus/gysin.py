@@ -21,12 +21,15 @@ construction: no rational function and no polynomial division anywhere.
 A P that is not symmetric in each designated part is rejected rather
 than symmetrized.
 
+A setup holds root positions only, in the ring of the class pushed:
+every push reads its ring off ``P`` and refuses a position outside it.
+
 The checks of these push-forwards against the closed Q/P formulas live
 in :mod:`qlocus.verify`.
 """
 from __future__ import annotations
 
-from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric
+from .polyring import MAX_EXP, SHIFT, Poly, is_symmetric
 from .records import Frozen, Value
 
 
@@ -38,20 +41,21 @@ class BlockSymmetryError(ValueError):
 class GrassmannSetup(Value):
     """Push-forward data for G^q(E) -> X, immutable and compared by value.
 
-    ``variables`` are the Chern roots of E in a fixed order; the first
-    ``q`` positions are the quotient part of the initial designation.
+    ``variables`` are the positions of the Chern roots of E, in a fixed
+    order, in the ring of the class pushed; the first ``q`` positions are
+    the quotient part of the initial designation.
     """
 
-    __slots__ = ("ring", "variables", "q")
+    __slots__ = ("variables", "q")
 
-    def __init__(self, ring: Ring, variables: tuple[int, ...], q: int):
+    def __init__(self, variables: tuple[int, ...], q: int):
         if not 0 <= q <= len(variables):
             raise ValueError(f"q={q} out of range for {len(variables)} roots")
         if len(set(variables)) != len(variables):
             raise ValueError("designated roots must be distinct")
-        if not all(0 <= v < ring.nvars for v in variables):
-            raise ValueError(f"designated roots must lie in 0..{ring.nvars - 1}")
-        self._set(ring=ring, variables=variables, q=q)
+        if min(variables, default=0) < 0:
+            raise ValueError("designated roots must be non-negative")
+        self._set(variables=variables, q=q)
 
     @property
     def e(self) -> int:
@@ -88,6 +92,8 @@ def grassmann_pushforward(P: Poly, setup: GrassmannSetup) -> Poly:
     complementary part of the designated roots.
     """
     vs, q = setup.variables, setup.q
+    if max(vs, default=0) >= P.ring.nvars:
+        raise ValueError(f"designated roots must lie in 0..{P.ring.nvars - 1}")
     if not is_symmetric(P, vs[:q]):
         raise BlockSymmetryError("not symmetric in the quotient roots")
     if not is_symmetric(P, vs[q:]):
@@ -144,9 +150,9 @@ class FlagSetup(Value):
         return self.f_vars[self.f - self.p :]
 
 
-def flag_pushforward(P: Poly, fs: FlagSetup, ring: Ring) -> Poly:
+def flag_pushforward(P: Poly, fs: FlagSetup) -> Poly:
     """Push forward along the two-step flag: first the inner G_n(C)
     (quotient part: the roots of C/R), then the outer G^p(F)."""
-    inner = GrassmannSetup(ring, fs.fq_vars() + fs.k_vars, fs.p)
-    outer = GrassmannSetup(ring, fs.fq_vars() + fs.s_vars(), fs.p)
+    inner = GrassmannSetup(fs.fq_vars() + fs.k_vars, fs.p)
+    outer = GrassmannSetup(fs.fq_vars() + fs.s_vars(), fs.p)
     return grassmann_pushforward(grassmann_pushforward(P, inner), outer)

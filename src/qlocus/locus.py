@@ -25,11 +25,10 @@ from .partitions import Partition, rectangle_partitions
 from .polyring import Poly, Ring
 from .records import Value
 from .schur import (
+    SCHUR_OF_KIND,
     SchurPairExpansion,
     expand_schur_basis,
     schur_difference_split,
-    schur_p,
-    schur_q,
     schur_sum,
 )
 
@@ -93,9 +92,6 @@ class ClassExpression(Value):
             reverse=True,
         )
         return ClassExpression(kind, tuple(ordered))
-
-    def term_set(self) -> set[tuple[Partition, Partition, int]]:
-        return set(self.terms)
 
     def __str__(self):
         if not self.terms:
@@ -192,8 +188,7 @@ def class_via_pushforward(problem: LocusProblem, ctx: ModelContext) -> Poly:
     ctop_kq = tensor_sum_product(ctx.K, quotient)
     ctop_rq = tensor_sum_product(Alphabet(ring, fv[q:]), quotient)
     top = ctop_sym2(quotient) if problem.symmetry == "sym" else ctop_wedge2(quotient)
-    setup = GrassmannSetup(ring, fv, q)
-    return grassmann_pushforward(ctop_kq * ctop_rq * top, setup)
+    return grassmann_pushforward(ctop_kq * ctop_rq * top, GrassmannSetup(fv, q))
 
 
 def class_schur_pair_expansion(problem: LocusProblem) -> SchurPairExpansion:
@@ -209,7 +204,7 @@ def class_schur_pair_expansion(problem: LocusProblem) -> SchurPairExpansion:
     ring = Ring([("f", problem.f)])
     F = Alphabet(ring, tuple(range(problem.f)))
     expr = class_of(problem)
-    qp = schur_q if expr.kind == "Q" else schur_p
+    qp = SCHUR_OF_KIND[expr.kind]
     by_mu: dict[Partition, Poly] = {}
     for K, L, c in expr.terms:
         base = qp(K, F).scale(c)

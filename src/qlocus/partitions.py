@@ -7,8 +7,6 @@ staircases, and complements of conjugates inside a rectangle.
 """
 from __future__ import annotations
 
-from itertools import combinations
-
 from .records import Frozen
 
 
@@ -166,35 +164,34 @@ def complement_conjugate(I: Partition, n: int, q: int) -> Partition:
 
 
 def subpartitions(bound: Partition) -> list[Partition]:
-    """All partitions contained in ``bound``, decreasing lexicographic."""
+    """All partitions contained in ``bound``, decreasing lexicographic:
+    every extension of a prefix by a positive part comes before it."""
+    parts = bound.parts
     out: list[Partition] = []
 
-    def rec(prefix: list[int], i: int):
-        out.append(Partition(tuple(prefix)))
-        if i >= len(bound.parts):
-            return
-        hi = bound.parts[i]
-        if prefix:
-            hi = min(hi, prefix[-1])
-        for p in range(hi, 0, -1):
-            prefix.append(p)
-            rec(prefix, i + 1)
-            prefix.pop()
+    def rec(prefix: tuple[int, ...], i: int, hi: int):
+        if i < len(parts):
+            for p in range(min(hi, parts[i]), 0, -1):
+                rec(prefix + (p,), i + 1, p)
+        out.append(Partition(prefix))
 
-    rec([], 0)
-    out.sort(key=lambda P: P.padded(len(bound.parts)), reverse=True)
+    rec((), 0, parts[0] if parts else 0)
     return out
 
 
 def strict_partitions_bounded(max_part: int, max_length: int, max_weight: int | None = None) -> list[Partition]:
     """Strict partitions with parts <= max_part, length <= max_length and,
-    optionally, weight <= max_weight.  Decreasing lexicographic order."""
-    out = []
-    pool = range(max_part, 0, -1)
-    for k in range(min(max_length, max_part) + 1):
-        for combo in combinations(pool, k):
-            P = Partition(combo)
-            if max_weight is None or P.weight <= max_weight:
-                out.append(P)
-    out.sort(key=lambda P: P.padded(max_length), reverse=True)
+    optionally, weight <= max_weight.  Decreasing lexicographic order, as
+    in :func:`subpartitions`."""
+    out: list[Partition] = []
+
+    def rec(prefix: tuple[int, ...], hi: int, room: int):
+        if len(prefix) < max_length:
+            for p in range(min(hi, room), 0, -1):
+                rec(prefix + (p,), p - 1, room - p)
+        out.append(Partition(prefix))
+
+    room = max_part * (max_part + 1) // 2 if max_weight is None else max_weight
+    if min(max_part, max_length, room) >= 0:
+        rec((), max_part, room)
     return out

@@ -241,15 +241,29 @@ def schur_p(I: Partition, a: Alphabet) -> Poly:
     return Poly(a.ring, {k: c // d for k, c in Q.terms.items()})
 
 
+class _KindTable(dict):
+    """Kind -> the name of its Q-, P- or S-polynomial function in this
+    module.  A lookup reads the module binding at each use, so a rebound
+    name (the per-layer tracer of ``perfbench`` wraps them) reaches every
+    caller; an unknown kind is a ``ValueError``."""
+
+    def __missing__(self, kind):
+        raise ValueError(f"kind must be 'Q', 'P' or 's', got {kind!r}")
+
+    def __getitem__(self, kind):
+        return globals()[super().__getitem__(kind)]
+
+
+SCHUR_OF_KIND = _KindTable(Q="schur_q", P="schur_p", s="schur_s")
+
+
 def schur_sum(kind: str, terms, a, d) -> Poly:
     """sum of c * X_K(a) * s_L(d) over the (K, L, c) ``terms``, with X the
     Q-, P- or S-polynomial for ``kind`` "Q", "P" or "s".  Every product is
     added into one dict, since a sum of Polys would copy the growing total
     once per term; ``Ring.poly`` then refuses a coefficient that is not an
     int."""
-    x = {"Q": schur_q, "P": schur_p, "s": schur_s}.get(kind)
-    if x is None:
-        raise ValueError(f"kind must be 'Q', 'P' or 's', got {kind!r}")
+    x = SCHUR_OF_KIND[kind]
     total: dict = {}
     get = total.get
     for K, L, c in terms:
@@ -279,6 +293,8 @@ def _straighten(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
     return a wrong answer.
     """
     ring = P.ring
+    if any(a.ring is not ring for a in alphabets):
+        raise ValueError("alphabets must belong to the ring of the polynomial")
     if any(a.values for a in alphabets):
         raise ValueError("only alphabets of variables have an S-basis expansion")
     inside = [v for a in alphabets for v in a.variables]

@@ -94,7 +94,7 @@ def test_criterion_2_fifteen_term_class_and_pair_table():
             Partition((4, 1)),
             Partition((2, 2, 1, 1)),
             1,
-        ) in expr.term_set()
+        ) in expr.terms
 
         pairs = class_schur_pair_expansion(prob)
         want = {

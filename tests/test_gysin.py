@@ -32,7 +32,7 @@ def coset_sum_pushforward(P, setup):
     factors with both indices on the same side of T; the sum is exactly
     divisible by V.
     """
-    ring, vs, e, q = setup.ring, setup.variables, setup.e, setup.q
+    ring, vs, e, q = P.ring, setup.variables, setup.e, setup.q
     gens = [ring.variable(i) for i in vs]
     pairs = [(i, j) for i in range(e) for j in range(i + 1, e)]
     vandermonde = product(ring, (gens[i] - gens[j] for i, j in pairs))
@@ -81,14 +81,14 @@ DESIGNATIONS = [(e, tuple(range(e))) for e in range(1, 6)] + [
 def test_pushforward_matches_the_coset_sum(nvars, vs):
     ring = Ring([("a", nvars)])
     for q in range(len(vs) + 1):
-        setup = GrassmannSetup(ring, vs, q)
+        setup = GrassmannSetup(vs, q)
         for P in block_symmetric_integrands(ring, vs, q):
             assert grassmann_pushforward(P, setup) == coset_sum_pushforward(P, setup), (q, P)
 
 
 def line_setup(e):
     ring = Ring([("a", e)])
-    return ring, GrassmannSetup(ring, tuple(range(e)), 1)
+    return ring, GrassmannSetup(tuple(range(e)), 1)
 
 
 def test_rank_one_quotient_pushforward_is_a_complete_sym():
@@ -106,7 +106,7 @@ def test_pushforward_of_quotient_schur_shifts_the_shape():
     # pi_*(s_{I + (r)^q}(Q)) = s_I(E) on G^q(E) with r = e - q
     e, q, r = 4, 2, 2
     ring = Ring([("a", e)])
-    setup = GrassmannSetup(ring, tuple(range(e)), q)
+    setup = GrassmannSetup(tuple(range(e)), q)
     Q = Alphabet(ring, tuple(range(q)))
     E = Alphabet(ring, tuple(range(e)))
     for I in subpartitions(rectangle(2, 2)):
@@ -139,7 +139,7 @@ def test_projection_formula():
 def test_pushforward_drops_degree_by_the_fibre_dimension():
     e, q = 4, 2
     ring = Ring([("a", e)])
-    setup = GrassmannSetup(ring, tuple(range(e)), q)
+    setup = GrassmannSetup(tuple(range(e)), q)
     Q = Alphabet(ring, tuple(range(q)))
     P = schur_s(Partition((4, 3)), Q)
     got = grassmann_pushforward(P, setup)
@@ -148,10 +148,10 @@ def test_pushforward_drops_degree_by_the_fibre_dimension():
 
 def test_pushforward_rejects_asymmetric_input():
     ring = Ring([("a", 3)])
-    setup = GrassmannSetup(ring, (0, 1, 2), 2)
+    setup = GrassmannSetup((0, 1, 2), 2)
     with pytest.raises(BlockSymmetryError):
         grassmann_pushforward(ring.variable(0), setup)  # quotient part a1, a2
-    setup1 = GrassmannSetup(ring, (0, 1, 2), 1)
+    setup1 = GrassmannSetup((0, 1, 2), 1)
     with pytest.raises(BlockSymmetryError):
         grassmann_pushforward(ring.variable(1), setup1)  # sub part a2, a3
 
@@ -160,27 +160,33 @@ def test_trivial_fibres_are_the_identity():
     ring = Ring([("a", 3)])
     P = schur_s(Partition((2,)), Alphabet(ring, (0, 1, 2))) + 3
     for q in (0, 3):
-        setup = GrassmannSetup(ring, (0, 1, 2), q)
+        setup = GrassmannSetup((0, 1, 2), q)
         assert grassmann_pushforward(P, setup) == P
 
 
 def test_setup_validation():
     ring = Ring([("a", 2)])
     with pytest.raises(ValueError):
-        GrassmannSetup(ring, (0, 1), 3)
+        GrassmannSetup((0, 1), 3)
     with pytest.raises(ValueError):
-        GrassmannSetup(ring, (0, 0), 1)
+        GrassmannSetup((0, 0), 1)
     with pytest.raises(ValueError):
-        GrassmannSetup(ring, (0, 7), 1)  # not a variable of the ring
-    with pytest.raises(ValueError):
-        GrassmannSetup(ring, (-1, 0), 1)
+        GrassmannSetup((-1, 0), 1)
+    # a setup holds positions only; the push checks them against P.ring
+    with pytest.raises(ValueError, match=r"designated roots must lie in 0\.\.1"):
+        grassmann_pushforward(ring.one, GrassmannSetup((0, 7), 1))  # not a variable of the ring
+    ring3 = Ring([("a", 3)])
+    with pytest.raises(ValueError, match=r"designated roots must lie in 0\.\.2"):
+        grassmann_pushforward(ring3.variable(0) ** 2, GrassmannSetup((3, 4), 1))
+    with pytest.raises(ValueError, match="designated roots"):
+        flag_pushforward(ring3.one, FlagSetup((0, 1, 2), (3,), 1))
 
 
 @given(st.data())
 def test_repeated_pushforward_matches_direct(data):
     e, q = 3, 1
     ring = Ring([("a", e)])
-    setup = GrassmannSetup(ring, tuple(range(e)), q)
+    setup = GrassmannSetup(tuple(range(e)), q)
     gens = [ring.variable(i) for i in range(e)]
     factor = product(ring, (gens[0] + gens[j] for j in range(q, e)))
     pusher = RepeatedPushforward(setup, factor)
@@ -260,9 +266,9 @@ def test_a_shared_instance_gives_the_fresh_results():
 def test_pushforward_instance_parts():
     inst = PushforwardInstance(4, 1)
     assert (inst.e, inst.q) == (4, 1)
-    assert inst.setup == GrassmannSetup(inst.setup.ring, (0, 1, 2, 3), 1)
+    assert inst.setup == GrassmannSetup((0, 1, 2, 3), 1)
     assert inst.quotient.variables == (0,) and inst.total.variables == (0, 1, 2, 3)
-    a = [inst.setup.ring.variable(i) for i in range(4)]
+    a = [inst.total.ring.variable(i) for i in range(4)]
     assert inst.ctop_rq == (a[1] + a[0]) * (a[2] + a[0]) * (a[3] + a[0])
 
 
@@ -280,7 +286,7 @@ def test_flag_pushforward_trivial_stage():
     ring = Ring([("f", 3), ("k", 1)])
     fs = FlagSetup(ring.block("f"), ring.block("k"), 0)
     P = schur_s(Partition((2, 1)), Alphabet(ring, ring.block("f")))
-    assert flag_pushforward(P, fs, ring) == P
+    assert flag_pushforward(P, fs) == P
 
 
 def test_flag_pushforward_drops_the_right_degree():
@@ -290,7 +296,7 @@ def test_flag_pushforward_drops_the_right_degree():
     f3 = ring.variable(2)
     k = ring.variable(3)
     P = f3**4 * k
-    got = flag_pushforward(P, fs, ring)
+    got = flag_pushforward(P, fs)
     assert got.total_degree() == P.total_degree() - (1 * 1 + 1 * 2)
     assert is_symmetric(got, ring.block("f"))
     e1 = sum((ring.variable(i) for i in range(4)), ring.zero)

@@ -126,7 +126,7 @@ def test_mnemonic_agrees_where_defined(t):
         with pytest.raises(ValueError):
             class_via_mnemonic(prob)
         return
-    assert class_via_mnemonic(prob).term_set() == class_of(prob).term_set()
+    assert class_via_mnemonic(prob) == class_of(prob)
 
 
 @given(problems)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -172,15 +173,30 @@ def test_subpartitions():
     ]
 
 
+def assert_decreasing_lexicographic(got, n):
+    padded = [J.padded(n) for J in got]
+    assert all(x > y for x, y in zip(padded, padded[1:]))
+
+
 @given(partitions)
 def test_subpartitions_all_contained(I):
     subs = subpartitions(I)
     assert len(set(subs)) == len(subs)
     for J in subs:
         assert I.contains(J)
+    # complete, and in decreasing lexicographic order without a sort
+    boxes = product(*(range(p + 1) for p in I.parts))
+    want = {Partition(v) for v in boxes if list(v) == sorted(v, reverse=True)}
+    assert set(subs) == want
+    assert_decreasing_lexicographic(subs, I.length)
 
 
-def test_strict_partitions_bounded():
+@given(
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=5),
+    st.none() | st.integers(min_value=0, max_value=12),
+)
+def test_strict_partitions_bounded(max_part, max_length, max_weight):
     got = strict_partitions_bounded(3, 2, 5)
     assert Partition((3, 2)) in got
     assert Partition(()) in got
@@ -190,3 +206,13 @@ def test_strict_partitions_bounded():
     # strict partitions with parts <= 3, length <= 2, weight <= 5:
     # (), (1), (2), (3), (2,1), (3,1), (3,2)
     assert len(got) == 7
+    # every bound: complete, and in decreasing lexicographic order
+    got = strict_partitions_bounded(max_part, max_length, max_weight)
+    want = {
+        Partition(c)
+        for k in range(max_length + 1)
+        for c in combinations(range(max_part, 0, -1), k)
+        if max_weight is None or sum(c) <= max_weight
+    }
+    assert len(got) == len(want) and set(got) == want
+    assert_decreasing_lexicographic(got, max_length)

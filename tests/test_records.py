@@ -28,7 +28,7 @@ from qlocus.verify import (
 
 RING = Ring([("a", 3)])
 A = Alphabet(RING, (0, 1))
-SETUP = GrassmannSetup(RING, (0, 1, 2), 1)
+SETUP = GrassmannSetup((0, 1, 2), 1)
 
 FROZEN = [
     (A, "variables"),
@@ -62,7 +62,7 @@ def test_frozen_records_refuse_assignment(record, field):
 VALUES = [
     (LocusProblem, (4, 3, 2, "sym"), (4, 3, 2, "skew")),
     (ClassExpression, ("Q", ((Partition((1,)), Partition(()), 1),)), ("P", ())),
-    (GrassmannSetup, (RING, (0, 1, 2), 1), (RING, (0, 1, 2), 2)),
+    (GrassmannSetup, ((0, 1, 2), 1), ((0, 1, 2), 2)),
     (FlagSetup, ((0, 1, 2), (3,), 1), ((0, 1, 2), (3,), 0)),
 ]
 
@@ -119,7 +119,7 @@ def test_keyword_construction_and_defaults():
     assert VirtualAlphabet(pos=(a,)).neg == ()
     assert LocusProblem(e=4, f=3, r=2, symmetry="sym") == LocusProblem(4, 3, 2, "sym")
     assert ClassExpression(kind="P", terms=()) == ClassExpression("P", ())
-    assert GrassmannSetup(ring=RING, variables=(0, 1), q=1).e == 2
+    assert GrassmannSetup(variables=(0, 1), q=1).e == 2
     assert FlagSetup(f_vars=(0, 1, 2), k_vars=(), p=1).n == 0
     assert RepeatedPushforward(setup=SETUP, factor=RING.one).setup is SETUP
     chk = PushforwardCheck(e=1, q=0, I=Partition(), d=1, computed=RING.one, expected=RING.one)
@@ -135,7 +135,7 @@ def test_constructors_keep_their_checks():
     with pytest.raises(ValueError, match="need 0 <= 2p < f"):
         FlagSetup((0, 1), (2,), 1)
     with pytest.raises(ValueError, match="out of range"):
-        GrassmannSetup(RING, (0, 1), 3)
+        GrassmannSetup((0, 1), 3)
 
 
 def test_run_suites_passes_only_the_bounds_a_suite_takes():

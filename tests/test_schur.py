@@ -7,9 +7,9 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlocus import schur
+from qlocus import locus, schur
 from qlocus.alphabets import Alphabet, VirtualAlphabet, complete_sym, difference, make_model, q_sym
-from qlocus.locus import LocusProblem, class_of, class_schur_pair_expansion, expression_to_poly
+from qlocus.locus import ClassExpression, LocusProblem, class_of, class_schur_pair_expansion, expression_to_poly
 from qlocus.partitions import (
     Partition,
     rectangle,
@@ -541,10 +541,15 @@ def test_schur_sum_matches_a_sum_of_polys(kind):
     assert schur_sum(kind, [], a, d) == 0
 
 
-def test_schur_sum_refuses_an_unknown_kind_and_a_non_integer_coefficient():
+def test_schur_sum_refuses_an_unknown_kind_and_a_non_integer_coefficient(monkeypatch):
     ctx = make_model("independent", 3, 2)
     with pytest.raises(ValueError, match="kind must be"):
         schur_sum("S", [(Partition((1,)), Partition(), 1)], ctx.F, ctx.E)
+    # the pair expansion reads the same kind table, so it is not read as P
+    bad = ClassExpression("S", ((Partition((1,)), Partition(), 1),))
+    monkeypatch.setattr(locus, "class_of", lambda problem: bad)
+    with pytest.raises(ValueError, match="kind must be"):
+        class_schur_pair_expansion(LocusProblem(3, 2, 1, "sym"))
     with pytest.raises(TypeError, match="coefficients are ints"):
         schur_sum("s", [(Partition((1,)), Partition(), 0.5)], ctx.F, ctx.E)
 
@@ -721,6 +726,19 @@ def test_expand_schur_basis_rejects_foreign_variables():
     A = Alphabet(ring, ring.block("x"))
     with pytest.raises(ValueError):
         expand_schur_basis(ring.variable(2), A)
+    # alphabets of another ring: read off its positions, F and E would
+    # trade places
+    ring = Ring([("f", 2), ("e", 2)])
+    F, E = Alphabet(ring, ring.block("f")), Alphabet(ring, ring.block("e"))
+    P = schur_s(Partition((2,)), F) * schur_s(Partition((1,)), E)
+    other = Ring([("e", 2), ("f", 2)])
+    F2, E2 = Alphabet(other, other.block("f")), Alphabet(other, other.block("e"))
+    with pytest.raises(ValueError, match="ring of the polynomial"):
+        expand_schur_pair(P, F2, E2)
+    assert expand_schur_pair(P, F, E).render() == "1 * s[2](F) * s[1](E)"
+    # the same layout is not the same ring
+    with pytest.raises(ValueError, match="ring of the polynomial"):
+        expand_schur_basis(schur_s(Partition((2,)), F), Alphabet(Ring([("f", 2)]), (0, 1)))
 
 
 @given(st.data())
