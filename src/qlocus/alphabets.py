@@ -33,12 +33,12 @@ class Alphabet(Frozen):
     def __init__(
         self, ring: Ring, variables: tuple[int, ...], negated: bool = False, values: tuple = ()
     ):
+        if any(type(x) is not int for x in (*variables, *values)):
+            raise ValueError(f"alphabet variables and values must be integers, got {variables!r}, {values!r}")
         if len(set(variables)) != len(variables):
             raise ValueError("alphabet variables must be distinct")
         if variables and (min(variables) < 0 or max(variables) >= ring.nvars):
             raise ValueError(f"alphabet variables must lie in 0..{ring.nvars - 1}")
-        if any(type(v) is not int for v in values):
-            raise ValueError(f"alphabet root values must be integers, got {values!r}")
         self._set(ring=ring, variables=variables, negated=negated, values=values)
 
     @property

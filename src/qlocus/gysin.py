@@ -49,6 +49,8 @@ class GrassmannSetup(Value):
     __slots__ = ("variables", "q")
 
     def __init__(self, variables: tuple[int, ...], q: int):
+        if any(type(v) is not int for v in variables):
+            raise ValueError(f"designated roots must be integers, got {variables!r}")
         if not 0 <= q <= len(variables):
             raise ValueError(f"q={q} out of range for {len(variables)} roots")
         if len(set(variables)) != len(variables):

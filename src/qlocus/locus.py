@@ -25,10 +25,10 @@ from .partitions import Partition, rectangle_partitions
 from .polyring import Poly, Ring
 from .records import Value
 from .schur import (
-    SCHUR_OF_KIND,
     SchurPairExpansion,
     expand_schur_basis,
     schur_difference_split,
+    schur_of_kind,
     schur_sum,
 )
 
@@ -44,6 +44,8 @@ class LocusProblem(Value):
     __slots__ = ("e", "f", "r", "symmetry")
 
     def __init__(self, e: int, f: int, r: int, symmetry: str):
+        if any(type(x) is not int for x in (e, f, r)):
+            raise ValueError(f"ranks must be integers, got e={e!r}, f={f!r}, r={r!r}")
         if symmetry not in ("sym", "skew"):
             raise ValueError(f"symmetry must be 'sym' or 'skew', got {symmetry!r}")
         if not e >= f >= 1:
@@ -204,7 +206,7 @@ def class_schur_pair_expansion(problem: LocusProblem) -> SchurPairExpansion:
     ring = Ring([("f", problem.f)])
     F = Alphabet(ring, tuple(range(problem.f)))
     expr = class_of(problem)
-    qp = SCHUR_OF_KIND[expr.kind]
+    qp = schur_of_kind(expr.kind)
     by_mu: dict[Partition, Poly] = {}
     for K, L, c in expr.terms:
         base = qp(K, F).scale(c)

@@ -5,13 +5,12 @@ S-polynomials of (virtual) alphabets, skew or not, are all built by
 partition), with no memo of their own.  A straight shape on a difference
 P - N is read off the factorization of hook Schur functions, a product
 of root differences times two smaller S-polynomials, whenever the shape
-allows it; on a one-sided alphabet of n roots a shape of length n is a
-power of the product of the roots times a shorter shape, and the
-staircase (n-1, ..., 1) the product of the root sums.  Every other
-S-polynomial is a Jacobi-Trudi determinant
-(:func:`jacobi_trudi`) over the memoized complete series of the alphabet
-V, or, for a shape with fewer columns than rows, of -V^∨ on the
-conjugate shape.
+allows it, and is 0 when it leaves the hook.  Every other S-polynomial is
+a Jacobi-Trudi determinant (:func:`jacobi_trudi`) over a memoized
+complete series: on a one-sided alphabet, that of its elementary series
+(the conjugate shape over -V^∨ when the roots are positive, the shape as
+it stands when they are negative); on a two-sided one, that of V or, for
+a shape with fewer columns than rows, of -V^∨ on the conjugate shape.
 
 A Q-polynomial of a strict lam on n roots with length(lam) >= n - 1 is
 2^length(lam) * prod_{i<j} (a_i + a_j) * s_{lam - delta}, delta =
@@ -41,7 +40,7 @@ from .alphabets import (
     q_sym,
     tensor_sum_product,
 )
-from .partitions import Partition, staircase, subpartitions
+from .partitions import Partition, subpartitions
 from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric, product
 
 
@@ -85,10 +84,14 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
 
     A straight shape on P - N first tries the hook factorization
     (:func:`_hook_factor`).  Otherwise the value is a Jacobi-Trudi
-    determinant (:func:`jacobi_trudi`), built on the side with fewer
-    rows: s_{lam/mu}(V) = s_{lam'/mu'}(-V^∨), the dual Jacobi-Trudi
-    identity, since the complete series of -V^∨ is the elementary series
-    of V (Macdonald, *Symmetric Functions and Hall Polynomials*, I.5).
+    determinant (:func:`jacobi_trudi`) on one of two sides:
+    s_{lam/mu}(V) = s_{lam'/mu'}(-V^∨), the dual Jacobi-Trudi identity,
+    since the complete series of -V^∨ is the elementary series of V
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.5).  A
+    one-sided alphabet takes the side of its elementary series: the
+    conjugate shape over -V^∨ for positive roots, the shape as it stands
+    for negative ones.  A two-sided alphabet takes the side with fewer
+    rows.
     """
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
@@ -96,7 +99,10 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
     got = None if mu.parts else _hook_factor(lam, v)
     if got is not None:
         return got
-    if lam.part(1) < lam.length:
+    # The elementary series of n roots is 0 past n, and on variables its
+    # entries have at most C(n, j) terms, where the complete series grows
+    # without end; a two-sided alphabet has no such side.
+    if lam.part(1) < lam.length if v.pos and v.neg else not v.neg:
         d = v.dual()  # -V^∨ swaps the sides of V^∨
         return jacobi_trudi(lam.conjugate(), mu.conjugate(), VirtualAlphabet(d.neg, d.pos))
     return jacobi_trudi(lam, mu, v)
@@ -134,27 +140,13 @@ def _hook_factor(lam: Partition, v: VirtualAlphabet) -> Poly | None:
       * s_alpha(P) * s_beta(-N), with alpha = (lam_1 - b, ..., lam_a - b)
       and beta = (lam_{a+1}, lam_{a+2}, ...).
 
-    On a one-sided alphabet P (b = 0), two identities of the bialternant
-    a_{lam + delta} / a_delta: s_lam = e_a^{lam_a} * s_{lam - (lam_a^a)}
-    when length(lam) = a, e_a the product of the roots, and the staircase
-    s_{(a-1, ..., 1)} = a_{2 delta} / a_delta = prod_{i<j} (x_i + x_j).
-
-    Returns None where none applies (lam_a < b, a shorter shape on P
-    other than the staircase, or an alphabet with no positive side),
-    which leaves the determinant.
+    Returns None where neither applies (lam_a < b, or a one-sided
+    alphabet), which leaves the determinant.
     """
     a = sum(x.size for x in v.pos)
     b = sum(x.size for x in v.neg)
     if lam.part(a + 1) > b:
         return v.ring.zero
-    if a and not b:
-        roots = [r for x in v.pos for r in x.roots()]
-        if lam.length == a:
-            m = lam.part(a)
-            return product(v.ring, roots) ** m * schur_s(Partition(tuple(p - m for p in lam.parts)), v)
-        if lam == staircase(a - 1):
-            return product(v.ring, (x + y for i, x in enumerate(roots) for y in roots[i + 1 :]))
-        return None
     if not (a and b) or lam.part(a) < b:
         return None
     P = VirtualAlphabet(v.pos)
@@ -241,20 +233,14 @@ def schur_p(I: Partition, a: Alphabet) -> Poly:
     return Poly(a.ring, {k: c // d for k, c in Q.terms.items()})
 
 
-class _KindTable(dict):
-    """Kind -> the name of its Q-, P- or S-polynomial function in this
-    module.  A lookup reads the module binding at each use, so a rebound
-    name (the per-layer tracer of ``perfbench`` wraps them) reaches every
-    caller; an unknown kind is a ``ValueError``."""
-
-    def __missing__(self, kind):
+def schur_of_kind(kind: str):
+    """The Q-, P- or S-polynomial function of ``kind`` "Q", "P" or "s",
+    read off the module bindings at each call, so a rebound name (the
+    per-layer tracer of ``perfbench`` wraps them) reaches every caller."""
+    name = {"Q": "schur_q", "P": "schur_p", "s": "schur_s"}.get(kind)
+    if name is None:
         raise ValueError(f"kind must be 'Q', 'P' or 's', got {kind!r}")
-
-    def __getitem__(self, kind):
-        return globals()[super().__getitem__(kind)]
-
-
-SCHUR_OF_KIND = _KindTable(Q="schur_q", P="schur_p", s="schur_s")
+    return globals()[name]
 
 
 def schur_sum(kind: str, terms, a, d) -> Poly:
@@ -263,7 +249,7 @@ def schur_sum(kind: str, terms, a, d) -> Poly:
     added into one dict, since a sum of Polys would copy the growing total
     once per term; ``Ring.poly`` then refuses a coefficient that is not an
     int."""
-    x = SCHUR_OF_KIND[kind]
+    x = schur_of_kind(kind)
     total: dict = {}
     get = total.get
     for K, L, c in terms:

@@ -47,6 +47,13 @@ def test_value_alphabet_refuses_non_integer_values(values):
         Alphabet(Ring([]), (), values=values)
 
 
+@pytest.mark.parametrize("variables", [(0.0, 1.0), (0, 1.0), (True,)])
+def test_alphabet_refuses_non_integer_variables(variables):
+    # a float position was accepted, and schur_s on it then raised TypeError
+    with pytest.raises(ValueError, match="must be integers"):
+        Alphabet(Ring([("x", 2)]), variables)
+
+
 @pytest.mark.parametrize("other", ["values", "dual"])
 def test_value_alphabets_never_share_a_memo_entry(other):
     # odd degrees throughout, so the dual's values differ in sign

@@ -172,6 +172,8 @@ def test_setup_validation():
         GrassmannSetup((0, 0), 1)
     with pytest.raises(ValueError):
         GrassmannSetup((-1, 0), 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        GrassmannSetup((0.0, 1.0, 2.0), 1)
     # a setup holds positions only; the push checks them against P.ring
     with pytest.raises(ValueError, match=r"designated roots must lie in 0\.\.1"):
         grassmann_pushforward(ring.one, GrassmannSetup((0, 7), 1))  # not a variable of the ring

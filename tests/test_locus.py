@@ -69,6 +69,10 @@ def test_problem_validation():
         LocusProblem(3, 2, 3, "sym")
     with pytest.raises(ValueError):
         LocusProblem(3, 3, 1, "skew")
+    # a float rank once gave expected_codim 2.0, or failed deep in class_of
+    for ranks in [(4.5, 3, 2), (4.0, 3, 2), (4, 3.0, 2), (4, 3, 2.0), (4, 3, True)]:
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            LocusProblem(*ranks, "sym")
 
 
 def test_problem_derived_ranks():

@@ -604,44 +604,74 @@ def test_hook_factorization_matches_the_determinant(problem):
     assert schur_s(lam, v) == jacobi_trudi(lam, Partition(), v)
 
 
-def _conjugate_jacobi_trudi(lam, v):
-    """s_lam(v) as the determinant of the conjugate shape over -V^∨, whose
-    complete series is the elementary series of V: on a one-sided
-    alphabet its entries have few terms, so it stays cheap on 5 roots."""
+def _conjugate_jacobi_trudi(lam, mu, v):
+    """s_{lam/mu}(v) as the determinant of the conjugate shape over -V^∨:
+    the other side of the dual Jacobi-Trudi identity from jacobi_trudi."""
     d = (v if isinstance(v, VirtualAlphabet) else VirtualAlphabet((v,))).dual()
-    return jacobi_trudi(lam.conjugate(), Partition(), VirtualAlphabet(d.neg, d.pos))
+    return jacobi_trudi(lam.conjugate(), mu.conjugate(), VirtualAlphabet(d.neg, d.pos))
 
 
 def _one_sided_alphabets():
-    """Positive alphabets of 1 to 5 roots, plain and negated: variables
-    up to 4 roots, values on 5 (a determinant over 5 variables is slow on
-    either side), and one alphabet split over variables, a negated
-    variable and a value."""
+    """Alphabets of 1 to 5 roots, plain and negated, each on the positive
+    and on the negative side: variables up to 4 roots, values on 5 (the
+    oracle's determinant over the complete series of 5 variables is slow),
+    and one alphabet split over variables, a negated variable and a
+    value."""
     for n in range(1, 6):
         ring = Ring([("x", n if n < 5 else 0)])
         for negated in (False, True):
             if n < 5:
-                yield n, Alphabet(ring, ring.block("x"), negated)
+                A = Alphabet(ring, ring.block("x"), negated)
             else:
-                yield n, Alphabet(ring, (), negated, (3, -1, 2, 1, -2))
+                A = Alphabet(ring, (), negated, (3, -1, 2, 1, -2))
+            yield n, VirtualAlphabet((A,))
+            yield n, VirtualAlphabet((), (A,))
     ring = Ring([("x", 3)])
-    yield 4, VirtualAlphabet(
-        (Alphabet(ring, (0, 1)), Alphabet(ring, (2,), True), Alphabet(ring, (), False, (2,)))
-    )
+    split = (Alphabet(ring, (0, 1)), Alphabet(ring, (2,), True), Alphabet(ring, (), False, (2,)))
+    yield 4, VirtualAlphabet(split)
+    yield 4, VirtualAlphabet((), split)
 
 
-def test_full_length_and_staircase_rule_matches_the_determinant():
-    # every shape with parts <= 5 on n roots: those of length n take
-    # e_n^{lam_n} * s_{lam - (lam_n^n)}, the staircase (n-1, ..., 1) the
-    # product of root sums, and the rest the determinant as before
+def test_one_sided_schur_s_matches_the_complete_series_determinant():
+    # every shape on n roots with parts <= 5, or <= 4 for negative roots:
+    # schur_s builds a one-sided alphabet on its elementary series, the
+    # oracle on its complete series (the shape as it stands for positive
+    # roots, the conjugate over -V^∨, with up to 5 rows, for negative ones)
     for n, v in _one_sided_alphabets():
-        for lam in rectangle_partitions(n, 5):
-            assert schur_s(lam, v) == _conjugate_jacobi_trudi(lam, v), (n, lam)
+        oracle = _conjugate_jacobi_trudi if v.neg else jacobi_trudi
+        for lam in rectangle_partitions(n, 4 if v.neg else 5):
+            assert schur_s(lam, v) == oracle(lam, Partition(), v), (n, lam)
+
+
+def test_one_sided_alphabets_build_on_the_elementary_series(monkeypatch):
+    # every determinant of a one-sided alphabet, of variables or of
+    # values, is over a series with no positive side: -A^∨ for the roots
+    # of A, -F itself
+    built = []
+    build = schur.jacobi_trudi
+
+    def recording(lam, mu, v):
+        built.append(v)
+        return build(lam, mu, v)
+
+    monkeypatch.setattr(schur, "jacobi_trudi", recording)
+    ring = Ring([("x", 4)])
+    F = Alphabet(ring, ring.block("x"))
+    C = Alphabet(Ring([]), (), False, (3, -1, 2, 1))
+    box = rectangle_partitions(4, 5)
+    for A in (F, F.dual(), VirtualAlphabet((), (F,)), C, VirtualAlphabet((), (C,))):
+        for lam in box:
+            schur_s(lam, A)
+    for lam in box:
+        for mu in subpartitions(lam):
+            schur_skew(lam, mu, VirtualAlphabet((), (F,)))
+    assert built and all(not v.pos for v in built)
 
 
 def test_staircase_six_on_six_roots_expands_to_itself_quickly():
-    # s_{(6,...,1)}(F) was a 6 x 6 determinant taking about two minutes;
-    # straightening is an independent route back to the shape
+    # s_{(6,...,1)}(F) took about two minutes as a 6 x 6 determinant over
+    # the complete series; straightening is an independent route back to
+    # the shape
     ctx = make_model("surjection", 8, 6)
     t0 = time.perf_counter()
     assert expand_schur_basis(schur_s(staircase(6), ctx.F), ctx.F) == {staircase(6): 1}
@@ -650,7 +680,10 @@ def test_staircase_six_on_six_roots_expands_to_itself_quickly():
 
 @given(st.data())
 def test_schur_skew_matches_the_determinant_on_either_side(data):
-    # tall shapes are built on the conjugate side, wide ones as they stand
+    # on a two-sided alphabet tall shapes are built on the conjugate side
+    # and wide ones as they stand; a one-sided one takes its elementary
+    # series.  Both determinants are checked, so one of them is always
+    # a route other than the one taken.
     lam = data.draw(st.sampled_from(subpartitions(rectangle(4, 2)) + subpartitions(rectangle(2, 4))))
     mu = data.draw(st.sampled_from(subpartitions(lam)))
     ring = Ring([("a", 2), ("b", 2)])
@@ -658,7 +691,7 @@ def test_schur_skew_matches_the_determinant_on_either_side(data):
     B = Alphabet(ring, ring.block("b"), data.draw(st.booleans()))
     C = Alphabet(ring, (), data.draw(st.booleans()), (2, -1))
     v = data.draw(st.sampled_from([A, difference(A, B), difference(C, A), VirtualAlphabet((), (B,))]))
-    assert schur_skew(lam, mu, v) == jacobi_trudi(lam, mu, v)
+    assert schur_skew(lam, mu, v) == jacobi_trudi(lam, mu, v) == _conjugate_jacobi_trudi(lam, mu, v)
 
 
 def test_jacobi_trudi_reads_the_series_once(monkeypatch):
@@ -799,13 +832,13 @@ def test_expansions_on_dual_alphabets():
 def test_expansions_match_greedy_reference_on_small_loci():
     problems = [
         LocusProblem(e, f, r, sym)
-        for e in range(1, 5)
+        for e in range(1, 6)
         for f in range(1, e + 1)
         for r in range(f + 1)
         for sym in ("sym", "skew")
         if not (sym == "skew" and e == f and r % 2)
     ]
-    assert len(problems) == 54
+    assert len(problems) == 91
     for prob in problems:
         ctx = make_model("independent", prob.e, prob.f)
         P = expression_to_poly(class_of(prob), ctx)
