@@ -12,6 +12,7 @@ from qlocus import (
     expected_codim,
     projective_degree,
 )
+from qlocus.schur import render_schur_pair
 
 WORKED = [
     (4, 3, 2, "sym"),
@@ -55,7 +56,7 @@ def main() -> int:
         print(f"  Q{K}(F){tail}")
     if not args.skip_pairs:
         print("Schur-pair table (independent E, F):")
-        for line in class_schur_pair_expansion(prob).render().splitlines():
+        for line in render_schur_pair(class_schur_pair_expansion(prob)).splitlines():
             print(f"  {line}")
 
     print()

@@ -16,7 +16,6 @@ from .locus import (
     LocusProblem,
     class_of,
     class_schur_pair_expansion,
-    class_via_mnemonic,
     class_via_pushforward,
     expected_codim,
     expression_to_poly,
@@ -25,4 +24,4 @@ from .locus import (
 from .partitions import Partition, staircase
 from .polyring import Poly, Ring
 from .schur import schur_p, schur_q, schur_s, schur_skew
-from .verify import FlagModel, verify_identity
+from .verify import FlagModel, class_via_mnemonic, verify_identity

@@ -5,7 +5,10 @@ skew-Schur form evaluated as the single S-polynomial s_T(F - (E - F)^∨)
 (see :func:`skew_schur_sum`; in the surjection model the hook
 factorization makes it a product of root sums times a staircase
 S-polynomial of F), and a literal product-of-linear-forms oracle over the
-Chern roots; agreement of the three is the main correctness check.
+Chern roots; agreement of the three is the main correctness check.  That
+check lives in :mod:`qlocus.verify`, beside the formula c_top(A ⊗ B) =
+sum of s_I(A) s_{CĨ}(B) of Fulton-Pragacz that the staircase sums here
+extend.
 
 For a subbundle F of E (presented by a surjection model with kernel K),
 ``E v F`` denotes the rank f(f+1)/2 + fn bundle of "symmetrized pairs"
@@ -19,11 +22,6 @@ from .alphabets import Alphabet, ModelContext, difference, pair_sum_product, ten
 from .partitions import Partition, complement_conjugate, rectangle_partitions, staircase
 from .polyring import Poly
 from .schur import schur_p, schur_q, schur_s, schur_sum
-
-
-def ctop_tensor(a: Alphabet, b: Alphabet) -> Poly:
-    """c_top(A ⊗ B) = sum over I in the e x f box of s_I(A) s_{CĨ}(B)."""
-    return staircase_schur_sum("s", 0, a.size, b.size, a, b)
 
 
 def staircase_terms(stair: int, rows: int, cols: int):
@@ -44,7 +42,8 @@ def staircase_schur_sum(kind: str, stair: int, rows: int, cols: int, a: Alphabet
     S-polynomial for ``kind`` "Q", "P" or "s" (:func:`~qlocus.schur.schur_sum`).
     All closed-form classes here (E v F, E ^ F, the degeneracy classes
     and their push-forward identities) are instances of Q and P, and
-    c_top(A ⊗ B) of "s" with no staircase.
+    c_top(A ⊗ B) (:func:`qlocus.verify.ctop_tensor`) of "s" with no
+    staircase.
     """
     return schur_sum(kind, ((K, L, 1) for K, L in staircase_terms(stair, rows, cols)), a, d)
 

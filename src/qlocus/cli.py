@@ -41,6 +41,7 @@ from .locus import (
     expression_to_poly,
     projective_degree,
 )
+from .schur import render_schur_pair
 from .verify import SUITES, run_suites
 
 
@@ -122,7 +123,7 @@ def cmd_class(args) -> int:
         ctx = make_model(args.mode, args.e, args.f)
         print(expression_to_poly(expr, ctx))
     elif args.format == "schur-pair":
-        print(class_schur_pair_expansion(problem).render())
+        print(render_schur_pair(class_schur_pair_expansion(problem)))
     else:
         import json  # here, not at the top: only this format needs it
 

@@ -38,6 +38,16 @@ class BlockSymmetryError(ValueError):
     variable group."""
 
 
+def _check_roots(roots: tuple[int, ...]) -> None:
+    """Refuse root positions that are not distinct non-negative ints."""
+    if any(type(v) is not int for v in roots):
+        raise ValueError(f"designated roots must be integers, got {roots!r}")
+    if len(set(roots)) != len(roots):
+        raise ValueError("designated roots must be distinct")
+    if min(roots, default=0) < 0:
+        raise ValueError("designated roots must be non-negative")
+
+
 class GrassmannSetup(Value):
     """Push-forward data for G^q(E) -> X, immutable and compared by value.
 
@@ -49,14 +59,9 @@ class GrassmannSetup(Value):
     __slots__ = ("variables", "q")
 
     def __init__(self, variables: tuple[int, ...], q: int):
-        if any(type(v) is not int for v in variables):
-            raise ValueError(f"designated roots must be integers, got {variables!r}")
+        _check_roots(variables)
         if not 0 <= q <= len(variables):
             raise ValueError(f"q={q} out of range for {len(variables)} roots")
-        if len(set(variables)) != len(variables):
-            raise ValueError("designated roots must be distinct")
-        if min(variables, default=0) < 0:
-            raise ValueError("designated roots must be non-negative")
         self._set(variables=variables, q=q)
 
     @property
@@ -127,12 +132,15 @@ class FlagSetup(Value):
     The outer stage is G^p(F) (sub S of rank f-p, the first f-p roots of
     F); the inner stage is G_n(C) for the rank n+p cokernel C = E/S,
     whose roots are the last p roots of F together with the kernel roots.
-    ``2p < f`` is required.
+    The roots are distinct non-negative ints, and ``2p < f`` is required.
     """
 
     __slots__ = ("f_vars", "k_vars", "p")
 
     def __init__(self, f_vars: tuple[int, ...], k_vars: tuple[int, ...], p: int):
+        _check_roots((*f_vars, *k_vars))
+        if type(p) is not int:
+            raise ValueError(f"p must be an integer, got {p!r}")
         if not 0 <= 2 * p < len(f_vars):
             raise ValueError(f"need 0 <= 2p < f, got p={p}, f={len(f_vars)}")
         self._set(f_vars=f_vars, k_vars=k_vars, p=p)

@@ -11,26 +11,20 @@ D_r where rank(phi) <= r has a class expressible as
 with the staircase and the Q/P flavour depending on the symmetry type
 and the parity of r.  The same class is also computable as a Gysin
 push-forward from a Grassmannian bundle of kernels, which is the
-brute-force check; a mnemonic reindexing of the sum and a Schur-pair
-expansion over independent E and F round out the interfaces.  The
-comparisons of these routes, and the push-forward identities along the
-kernel flag, live in :mod:`qlocus.verify`.
+brute-force check, and expanded into S-polynomials of independent E and
+F as a Schur-pair table.  The comparisons of these routes, a mnemonic
+reindexing of the sum, and the push-forward identities along the kernel
+flag live in :mod:`qlocus.verify`.
 """
 from __future__ import annotations
 
 from .alphabets import Alphabet, ModelContext, difference, tensor_sum_product
 from .chern import ctop_sym2, ctop_wedge2, staircase_terms
 from .gysin import GrassmannSetup, grassmann_pushforward
-from .partitions import Partition, rectangle_partitions
+from .partitions import Partition
 from .polyring import Poly, Ring
 from .records import Value
-from .schur import (
-    SchurPairExpansion,
-    expand_schur_basis,
-    schur_difference_split,
-    schur_of_kind,
-    schur_sum,
-)
+from .schur import expand_schur_basis, schur_difference_split, schur_of_kind, schur_sum
 
 
 class LocusProblem(Value):
@@ -83,18 +77,6 @@ class ClassExpression(Value):
     def __init__(self, kind: str, terms: tuple[tuple[Partition, Partition, int], ...]):
         self._set(kind=kind, terms=terms)  # kind "Q" | "P"
 
-    @staticmethod
-    def build(kind: str, terms) -> "ClassExpression":
-        merged: dict[tuple[Partition, Partition], int] = {}
-        for K, L, c in terms:
-            merged[(K, L)] = merged.get((K, L), 0) + c
-        ordered = sorted(
-            ((K, L, c) for (K, L), c in merged.items() if c),
-            key=lambda t: (t[0].parts, t[1].parts),
-            reverse=True,
-        )
-        return ClassExpression(kind, tuple(ordered))
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -138,31 +120,10 @@ def class_of(problem: LocusProblem) -> ClassExpression:
         kind, stair, cols = "P", q - 1, n
     else:
         kind, stair, cols = "P", q, n - 1
-    return ClassExpression.build(kind, [(K, L, 1) for K, L in staircase_terms(stair, q, cols)])
-
-
-def class_via_mnemonic(problem: LocusProblem) -> ClassExpression:
-    """Reindexed form of the same sum: the coefficient of s_{Ĩ}(E-F) is
-    [Q|P]_{T - I}(F) with I written with increasing parts, where
-
-    * symmetric:    T = (e-r, ..., n+1)
-    * skew, r even: T = (e-r-1, ..., n)
-
-    No such reindexing is defined for skew loci with odd r.
-    """
-    q, n = problem.q, problem.n
-    if problem.symmetry == "sym":
-        kind, T = "Q", tuple(range(problem.e - problem.r, n, -1))
-    elif problem.r % 2 == 0:
-        kind, T = "P", tuple(range(problem.e - problem.r - 1, n - 1, -1))
-    else:
-        raise ValueError("no mnemonic form for skew loci with odd r")
-    terms = []
-    for I in rectangle_partitions(q, n):
-        inc = tuple(reversed(I.padded(q)))
-        K = Partition(tuple(t - i for t, i in zip(T, inc)))
-        terms.append((K, I.conjugate(), 1))
-    return ClassExpression.build(kind, terms)
+    # rectangle_partitions emits the I in decreasing lexicographic order,
+    # and adding the fixed staircase keeps it: the K = rho + I come out
+    # distinct and decreasing, so the terms need no merge and no sort
+    return ClassExpression(kind, tuple((K, L, 1) for K, L in staircase_terms(stair, q, cols)))
 
 
 def expression_to_poly(expr: ClassExpression, ctx: ModelContext) -> Poly:
@@ -193,8 +154,9 @@ def class_via_pushforward(problem: LocusProblem, ctx: ModelContext) -> Poly:
     return grassmann_pushforward(ctop_kq * ctop_rq * top, GrassmannSetup(fv, q))
 
 
-def class_schur_pair_expansion(problem: LocusProblem) -> SchurPairExpansion:
-    """The class as sum of coeff * s_I(F) * s_J(E) with E, F independent.
+def class_schur_pair_expansion(problem: LocusProblem) -> dict[tuple[Partition, Partition], int]:
+    """The class as sum of coeff * s_I(F) * s_J(E) with E, F independent,
+    keyed by (I, J).
 
     Works term by term: Q/P_K(F) is a polynomial in f variables, and
     s_L(E - F) splits as a signed sum of s_mu(E) times a skew
@@ -217,7 +179,7 @@ def class_schur_pair_expansion(problem: LocusProblem) -> SchurPairExpansion:
     for mu, total in by_mu.items():
         for iota, c2 in expand_schur_basis(total, F).items():
             pairs[(iota, mu)] = c2
-    return SchurPairExpansion(pairs)
+    return pairs
 
 
 def projective_degree(e_twists, f_twists, r: int, symmetry: str) -> tuple[int, int]:

@@ -26,8 +26,9 @@ complete series of A - A^∨:
 so Q_(i,0) = q_i; a factor q_0 = 1 is never multiplied out.
 P_I is Q_I divided by 2^length, which is always exact.
 
-Expansions into the S-basis of one or two alphabets read each coefficient
-off the terms of the input by straightening (see :func:`_straighten`).
+Expansions into the S-basis of one or two alphabets are plain dicts from
+a shape, or a pair of shapes, to its coefficient; each coefficient is
+read off the terms of the input by straightening (see :func:`_straighten`).
 """
 from __future__ import annotations
 
@@ -316,49 +317,28 @@ def expand_schur_basis(P: Poly, a: Alphabet) -> dict[Partition, int]:
     return {lam: c for (lam,), c in _straighten(P, (a,)).items()}
 
 
-def expand_schur_pair(P: Poly, a: Alphabet, b: Alphabet) -> "SchurPairExpansion":
+def expand_schur_pair(P: Poly, a: Alphabet, b: Alphabet) -> dict[tuple[Partition, Partition], int]:
     """Write a polynomial symmetric in each of two disjoint alphabets as
-    sum of coeff * s_I(a) * s_J(b)."""
-    return SchurPairExpansion(_straighten(P, (a, b)))
+    sum of coeff * s_I(a) * s_J(b), keyed by (I, J)."""
+    return _straighten(P, (a, b))
 
 
-class SchurPairExpansion:
-    """An integer combination of products s_I(A) * s_J(B)."""
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = {pair: c for pair, c in coeffs.items() if c}
-
-    def __eq__(self, other):
-        return isinstance(other, SchurPairExpansion) and self.coeffs == other.coeffs
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def sorted_items(self):
-        """Terms in decreasing (|I|+|J|, then lexicographic) order."""
-        return sorted(
-            self.coeffs.items(),
-            key=lambda kv: (
-                kv[0][0].weight + kv[0][1].weight,
-                kv[0][0].parts,
-                kv[0][1].parts,
-            ),
-            reverse=True,
-        )
-
-    def render(self, label_a: str = "F", label_b: str = "E") -> str:
-        lines = []
-        for (I, J), c in self.sorted_items():
-            factors = [str(c)]
-            if I.length:
-                factors.append(f"s{I}({label_a})")
-            if J.length:
-                factors.append(f"s{J}({label_b})")
-            lines.append(" * ".join(factors))
-        return "\n".join(lines)
-
-    def to_poly(self, a: Alphabet, b: Alphabet) -> Poly:
-        return schur_sum("s", ((I, J, c) for (I, J), c in self.coeffs.items()), a, b)
+def render_schur_pair(pairs: dict[tuple[Partition, Partition], int]) -> str:
+    """One line ``c * s_I(F) * s_J(E)`` per term of a Schur-pair
+    expansion, in decreasing (|I|+|J|, then lexicographic) order."""
+    lines = []
+    for (I, J), c in sorted(
+        pairs.items(),
+        key=lambda kv: (kv[0][0].weight + kv[0][1].weight, kv[0][0].parts, kv[0][1].parts),
+        reverse=True,
+    ):
+        factors = [str(c)]
+        if I.length:
+            factors.append(f"s{I}(F)")
+        if J.length:
+            factors.append(f"s{J}(E)")
+        lines.append(" * ".join(factors))
+    return "\n".join(lines)
 
 
 def schur_difference_split(L: Partition, b: Alphabet, max_a_length: int):

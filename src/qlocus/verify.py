@@ -17,7 +17,6 @@ from .alphabets import Alphabet, difference, make_model, pair_sum_product, tenso
 from .chern import (
     ctop_product_oracle,
     ctop_sym2,
-    ctop_tensor,
     ctop_vee,
     ctop_vee_skew,
     ctop_wedge,
@@ -28,18 +27,18 @@ from .chern import (
 )
 from .gysin import FlagSetup, GrassmannSetup, flag_pushforward, grassmann_pushforward
 from .locus import (
+    ClassExpression,
     LocusProblem,
     class_of,
     class_schur_pair_expansion,
-    class_via_mnemonic,
     class_via_pushforward,
     expression_to_poly,
     projective_degree,
 )
-from .partitions import Partition, rectangle, staircase, strict_partitions_bounded
+from .partitions import Partition, rectangle, rectangle_partitions, staircase, strict_partitions_bounded
 from .polyring import Poly, Ring, product
 from .records import Frozen
-from .schur import expand_schur_pair, jacobi_trudi, pfaffian_q, schur_p, schur_q, schur_s
+from .schur import expand_schur_pair, jacobi_trudi, pfaffian_q, schur_p, schur_q, schur_s, schur_sum
 
 
 class CaseResult(Frozen):
@@ -107,6 +106,12 @@ def suite_schur(max_n: int = 4) -> list[CaseResult]:
         ok = pfaffian_q(staircase(k).add(J), A).is_zero() and schur_s(J, A).is_zero()
         out.append(CaseResult("schur.stair-factor-vanish", f"k={k}", ok))
     return out
+
+
+def ctop_tensor(a: Alphabet, b: Alphabet) -> Poly:
+    """c_top(A ⊗ B) = sum over I in the e x f box of s_I(A) s_{CĨ}(B)
+    (Fulton-Pragacz), the staircase sum of "s" with no staircase."""
+    return staircase_schur_sum("s", 0, a.size, b.size, a, b)
 
 
 def suite_chern(max_f: int = 3, max_n: int = 2) -> list[CaseResult]:
@@ -255,6 +260,33 @@ WORKED_CLASSES = {
     (5, 4, 2, "skew"): "P[2,1](F) + P[2](F)*s[1](E-F) + P[1](F)*s[2](E-F)",
     (4, 2, 1, "skew"): "P[2](F) + P[1](F)*s[1](E-F)",
 }
+
+
+def class_via_mnemonic(problem: LocusProblem) -> ClassExpression:
+    """Reindexed form of the sum of :func:`~qlocus.locus.class_of`: the
+    coefficient of s_{Ĩ}(E-F) is [Q|P]_{T - I}(F) with I written with
+    increasing parts, where
+
+    * symmetric:    T = (e-r, ..., n+1)
+    * skew, r even: T = (e-r-1, ..., n)
+
+    No such reindexing is defined for skew loci with odd r.  Each I gives
+    one term, sorted here into the order of ``class_of``.
+    """
+    q, n = problem.q, problem.n
+    if problem.symmetry == "sym":
+        kind, T = "Q", tuple(range(problem.e - problem.r, n, -1))
+    elif problem.r % 2 == 0:
+        kind, T = "P", tuple(range(problem.e - problem.r - 1, n - 1, -1))
+    else:
+        raise ValueError("no mnemonic form for skew loci with odd r")
+    terms = []
+    for I in rectangle_partitions(q, n):
+        inc = tuple(reversed(I.padded(q)))
+        K = Partition(tuple(t - i for t, i in zip(T, inc)))
+        terms.append((K, I.conjugate(), 1))
+    terms.sort(key=lambda t: (t[0].parts, t[1].parts), reverse=True)
+    return ClassExpression(kind, tuple(terms))
 
 
 def suite_locus(max_e: int = 4) -> list[CaseResult]:
@@ -425,7 +457,8 @@ def identity_via_product(kind: str, model: FlagModel) -> Poly:
     integrand = _identity_integrand(kind, f, p, n, s_dual, rs_diff)[1] * correction
     pushed = grassmann_pushforward(integrand, GrassmannSetup(u[f - p :] + u[: f - p], p))
     pushed = grassmann_pushforward(pushed, GrassmannSetup(v[e - p :] + v[: e - p], p))
-    return expand_schur_pair(pushed, Alphabet(ring, u), Alphabet(ring, v)).to_poly(ctx.F, ctx.E)
+    pairs = expand_schur_pair(pushed, Alphabet(ring, u), Alphabet(ring, v))
+    return schur_sum("s", ((I, J, c) for (I, J), c in pairs.items()), ctx.F, ctx.E)
 
 
 def suite_identities(max_f: int = 4, max_p: int = 1, max_n: int = 1) -> list[CaseResult]:
@@ -455,12 +488,22 @@ def run_suites(names, **bounds) -> list[CaseResult]:
     """Run the named suites with any applicable bound overrides.
 
     Each suite picks up the bounds among its own parameters, read off its
-    code object; bounds left as None keep the suite's default.
+    code object; bounds left as None keep the suite's default.  A bound
+    that none of the named suites takes raises ``ValueError`` before any
+    suite runs, since ignoring it would report the default sweep as the
+    one asked for.
     """
+    suites = [SUITES[name] for name in names]
+    takes = [fn.__code__.co_varnames[: fn.__code__.co_argcount] for fn in suites]
+    given = {k: v for k, v in bounds.items() if v is not None}
+    taken = set().union(*takes)
+    unused = [k for k in given if k not in taken]
+    if unused:
+        raise ValueError(
+            f"suite {'/'.join(names)} takes no {', '.join(unused)}"
+            f" (it takes {', '.join(sorted(taken))})"
+        )
     out = []
-    for name in names:
-        fn = SUITES[name]
-        accepted = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        kw = {k: v for k, v in bounds.items() if v is not None and k in accepted}
-        out.extend(fn(**kw))
+    for fn, accepted in zip(suites, takes):
+        out.extend(fn(**{k: v for k, v in given.items() if k in accepted}))
     return out

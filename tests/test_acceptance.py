@@ -113,7 +113,7 @@ def test_criterion_2_fifteen_term_class_and_pair_table():
             ((4, 1), (2, 2, 1, 1)): 4,
             ((2, 1), (2, 2, 2, 2)): 4,
         }
-        got = {(I.parts, J.parts): c for (I, J), c in pairs.coeffs.items()}
+        got = {(I.parts, J.parts): c for (I, J), c in pairs.items()}
         assert got == want
         assert len(pairs) == 14
 

@@ -6,7 +6,6 @@ from qlocus.alphabets import Alphabet, difference, make_model, pair_sum_product,
 from qlocus.chern import (
     ctop_product_oracle,
     ctop_sym2,
-    ctop_tensor,
     ctop_vee,
     ctop_vee_skew,
     ctop_wedge,
@@ -18,7 +17,7 @@ from qlocus.locus import LocusProblem, class_of, expression_to_poly
 from qlocus.partitions import Partition, subpartitions
 from qlocus.polyring import Ring, product
 from qlocus.schur import jacobi_trudi
-from qlocus.verify import FlagModel
+from qlocus.verify import FlagModel, ctop_tensor
 
 
 def literal_skew_schur_sum(T, a, d):

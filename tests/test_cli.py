@@ -131,7 +131,7 @@ def test_expand_command(capsys):
 
 
 def test_verify_suite_pass(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "schur", "--max-e", "3")
+    code, out, _ = run(capsys, "verify", "--suite", "schur", "--max-n", "3")
     assert code == 0
     lines = out.strip().split("\n")
     assert all(l.startswith("CASE ") for l in lines[:-1])
@@ -140,9 +140,11 @@ def test_verify_suite_pass(capsys):
 
 
 def test_verify_rejects_wrong_bound_flag(capsys):
-    # per-suite bound filtering: schur accepts max-e, not max-p
-    code, out, _ = run(capsys, "verify", "--suite", "schur", "--max-p", "1")
-    assert code == 0  # unknown-to-the-suite bounds are ignored, not errors
+    # schur takes max-n only: a bound it would ignore is refused, or the
+    # default sweep would pass for the one asked for
+    code, out, err = run(capsys, "verify", "--suite", "schur", "--max-p", "1", "--max-e", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: suite schur takes no max_e, max_p (it takes max_n)\n"
 
 
 @pytest.mark.parametrize("bound", ["--max-e", "--max-f", "--max-n", "--max-p", "--max-weight"])

@@ -1,15 +1,21 @@
 """The README's examples run as written: every ``$ qlocus ...`` command
-whose output is printed in full gives that output through the CLI, and
-the Python examples (with the package's own doctests) pass."""
+whose output is printed in full gives that output through the CLI, the
+Python examples (with the package's own doctests) pass, and so does the
+script it lists."""
 import doctest
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import qlocus
 from qlocus.cli import main
+from qlocus.locus import LocusProblem, class_of, class_schur_pair_expansion
+from qlocus.schur import render_schur_pair
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```$", README, re.M | re.S)
@@ -64,3 +70,28 @@ def test_readme_python_examples():
 def test_package_doctests():
     result = doctest.testmod(qlocus)
     assert result.attempted and not result.failed
+
+
+def test_reproduce_examples_script():
+    # the script the README lists: each class it prints is class_of's,
+    # and its table is the rendered Schur-pair expansion of the rank-(8,4)
+    # class
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reproduce_examples.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    head = re.compile(r"\(e=(\d+), f=(\d+), r=(\d+), (sym|skew)\)  codim \d+:")
+    heads = [(i, m) for i, line in enumerate(lines) if (m := head.fullmatch(line))]
+    assert len(heads) == 7
+    for i, m in heads:
+        e, f, r = map(int, m.groups()[:3])
+        assert lines[i + 1] == f"  {class_of(LocusProblem(e, f, r, m[4]))}"
+    start = lines.index("Schur-pair table (independent E, F):") + 1
+    table = lines[start : lines.index("", start)]
+    want = render_schur_pair(class_schur_pair_expansion(LocusProblem(8, 4, 2, "sym")))
+    assert table == ["  " + line for line in want.splitlines()]

@@ -174,6 +174,22 @@ def test_setup_validation():
         GrassmannSetup((-1, 0), 1)
     with pytest.raises(ValueError, match="must be integers"):
         GrassmannSetup((0.0, 1.0, 2.0), 1)
+    # a flag setup refuses at construction what its inner setups or the
+    # push would only trip over later
+    with pytest.raises(ValueError, match="p must be an integer"):
+        FlagSetup((0, 1, 2), (3,), 1.0)
+    with pytest.raises(ValueError, match="p must be an integer"):
+        FlagSetup((0, 1, 2), (3,), True)
+    with pytest.raises(ValueError, match="roots must be integers"):
+        FlagSetup((0, 1, 2.0), (3,), 1)
+    with pytest.raises(ValueError, match="roots must be integers"):
+        FlagSetup((0, 1, 2), (3.0,), 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        FlagSetup((0, 1, 2), (-1,), 1)
+    with pytest.raises(ValueError, match="distinct"):
+        FlagSetup((0, 1, 1), (3,), 1)  # a repeated root of F
+    with pytest.raises(ValueError, match="distinct"):
+        FlagSetup((0, 1, 2), (2,), 1)  # a kernel root that is also an F root
     # a setup holds positions only; the push checks them against P.ring
     with pytest.raises(ValueError, match=r"designated roots must lie in 0\.\.1"):
         grassmann_pushforward(ring.one, GrassmannSetup((0, 7), 1))  # not a variable of the ring

@@ -3,7 +3,9 @@
 The push-forwards in ``gysin`` sit on the polynomial ring alone, and
 every check that compares two routes and returns a verdict lives in
 ``verify``, which only the CLI and the package root import: the layers
-keep their production routes, and the cross-checks stay out of them."""
+keep their production routes, and the cross-checks stay out of them.  A
+public function or class of a route module that nothing but ``verify``
+reads is such a check, and lives in ``verify`` too."""
 import ast
 from pathlib import Path
 
@@ -46,3 +48,39 @@ def test_only_verify_defines_verify_functions():
         )
     ]
     assert defining == ["verify"]
+
+
+def referenced_names(tree) -> set[str]:
+    """Every name a module reads, as a name, an attribute, or a string
+    constant that is exactly the name (``schur_of_kind`` looks its
+    functions up by name); prose in docstrings never counts."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+# check routes the benchmark's tracer wraps by name, so they stay in their
+# layers until the tracer's targets are revised (ROADMAP item 1)
+PINNED = {("locus", "class_via_pushforward"), ("schur", "expand_schur_pair")}
+
+
+def test_route_modules_define_only_what_production_reads():
+    # a public function or class of chern, locus or schur that only verify
+    # or the package root reads is a check route, and belongs in verify
+    readers = [tree for name, tree in MODULES.items() if name not in ("verify", "__init__")]
+    read = set().union(*map(referenced_names, readers))
+    unread = {
+        (module, node.name)
+        for module in ("chern", "locus", "schur")
+        for node in MODULES[module].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    }
+    assert unread == PINNED

@@ -8,7 +8,6 @@ from qlocus.locus import (
     LocusProblem,
     class_of,
     class_schur_pair_expansion,
-    class_via_mnemonic,
     class_via_pushforward,
     expected_codim,
     expression_to_poly,
@@ -17,7 +16,7 @@ from qlocus.locus import (
 from qlocus.partitions import Partition, staircase
 from qlocus.polyring import Ring, apply_substitution, is_symmetric
 from qlocus.schur import expand_schur_pair, schur_s
-from qlocus.verify import FlagModel, IdentityCheck, identity_via_product, verify_identity
+from qlocus.verify import FlagModel, IdentityCheck, class_via_mnemonic, identity_via_product, verify_identity
 
 
 problems = st.tuples(
@@ -165,11 +164,26 @@ def test_pushforward_derivation_validates_context():
         class_via_pushforward(prob, make_model("surjection", 5, 3))
 
 
-def test_expression_build_merges_and_cancels():
-    K, L = Partition((2,)), Partition((1,))
-    expr = ClassExpression.build("Q", [(K, L, 1), (K, L, 2), (L, K, 1), (L, K, -1)])
-    assert expr.terms == ((K, L, 3),)
-    assert str(ClassExpression.build("Q", [])) == "0"
+def test_empty_expression_renders_zero():
+    assert str(ClassExpression("Q", ())) == "0"
+
+
+def test_class_terms_come_out_strictly_decreasing():
+    # class_of emits the terms of staircase_terms as they come, with no
+    # merge or sort, so distinct K in decreasing order is what keeps the
+    # rendered and structured forms canonical
+    problems = [
+        LocusProblem(e, f, r, sym)
+        for e in range(1, 10)
+        for f in range(1, e + 1)
+        for r in range(f + 1)
+        for sym in ("sym", "skew")
+        if not (sym == "skew" and e == f and r % 2)
+    ]
+    assert len(problems) == 395
+    for prob in problems:
+        keys = [(K.parts, L.parts) for K, L, _ in class_of(prob).terms]
+        assert all(a > b for a, b in zip(keys, keys[1:])), prob
 
 
 def test_structured_form():
@@ -291,8 +305,8 @@ def test_projective_degree_rejects_non_integer_twists(e_twists, f_twists):
 
 def test_projective_degree_rejects_an_inhomogeneous_class(monkeypatch):
     # the weight-1 term does not belong in a class of codimension 2
-    bad = ClassExpression.build(
-        "Q", [(Partition((2,)), Partition(()), 1), (Partition((1,)), Partition(()), 1)]
+    bad = ClassExpression(
+        "Q", ((Partition((2,)), Partition(()), 1), (Partition((1,)), Partition(()), 1))
     )
     monkeypatch.setattr(locus, "class_of", lambda problem: bad)
     with pytest.raises(ArithmeticError):

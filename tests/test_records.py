@@ -140,8 +140,14 @@ def test_constructors_keep_their_checks():
 
 def test_run_suites_passes_only_the_bounds_a_suite_takes():
     default = [c.render() for c in run_suites(["schur"])]
-    # suite_schur takes max_n only: max_e is dropped, and so is a name
+    # suite_schur takes max_n only: max_e is refused, and so is a name
     # that is one of its local variables rather than a parameter
-    assert [c.render() for c in run_suites(["schur"], max_e=1, n=1)] == default
+    with pytest.raises(ValueError, match=r"takes no max_e, n \(it takes max_n\)"):
+        run_suites(["schur"], max_e=1, n=1)
     assert [c.render() for c in run_suites(["schur"], max_e=None)] == default
+    # a bound is refused only when no named suite takes it, and each
+    # suite still gets only its own
+    both = run_suites(["schur", "chern"], max_n=1, max_f=1)
+    alone = run_suites(["schur"], max_n=1) + run_suites(["chern"], max_n=1, max_f=1)
+    assert [c.render() for c in both] == [c.render() for c in alone]
     assert len(run_suites(["schur"], max_n=2)) < len(default)
