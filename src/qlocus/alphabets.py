@@ -4,7 +4,10 @@ root sums (:func:`pair_sum_product`, :func:`tensor_sum_product`).
 An :class:`Alphabet` is an ordered tuple of ring variables and root
 values, optionally with all signs flipped (the roots of a dual bundle).  A
 :class:`VirtualAlphabet` is a formal difference of alphabets; only the
-complete symmetric series is defined for it.
+complete symmetric series is defined for it.  :func:`difference` builds
+it in lowest terms: a root found on both sides is struck, so R - S with
+R ⊃ S is one-sided, and an S-polynomial of it takes the one-sided or
+hook rules of :mod:`qlocus.schur` instead of a two-sided determinant.
 
 Two evaluation models are used everywhere:
 
@@ -19,6 +22,8 @@ identity: two alphabets built from the same roots are distinct objects,
 and the memo tables key on :meth:`sig` instead.
 """
 from __future__ import annotations
+
+from collections import Counter
 
 from .polyring import Poly, Ring, product
 from .records import Frozen
@@ -88,11 +93,48 @@ def _as_virtual(v) -> VirtualAlphabet:
     return v
 
 
+def _signed_roots(alph: Alphabet) -> list:
+    """The roots of ``alph`` as hashable tokens: (position, negated) for
+    a variable, the signed integer for a value."""
+    neg = alph.negated
+    return [(v, neg) for v in alph.variables] + [-c if neg else c for c in alph.values]
+
+
+def _strike(alphabets: tuple[Alphabet, ...], struck: Counter) -> tuple[Alphabet, ...]:
+    """``alphabets`` without the roots counted in ``struck``, each struck
+    once per count (``struck`` is used up); an alphabet left with no root
+    is dropped."""
+    out = []
+    for alph in alphabets:
+        keep = []
+        for root in _signed_roots(alph):
+            keep.append(not struck[root])
+            if struck[root]:
+                struck[root] -= 1
+        nvars = len(alph.variables)
+        variables = tuple(x for x, k in zip(alph.variables, keep) if k)
+        values = tuple(x for x, k in zip(alph.values, keep[nvars:]) if k)
+        if variables or values:
+            out.append(Alphabet(alph.ring, variables, alph.negated, values))
+    return tuple(out)
+
+
 def difference(a, b) -> VirtualAlphabet:
-    """a - b, for alphabets or virtual alphabets on either side:
-    (P - N) - (P' - N') = (P + N') - (N + P')."""
+    """a - b, for alphabets or virtual alphabets on either side, in lowest
+    terms: (P - N) - (P' - N') = (P + N') - (N + P'), with every root
+    found on both sides struck, as a multiset.  A root is a ring variable
+    with its sign, or a signed value.  This is exact: the series is
+    prod (1 - b t) / prod (1 - a t), and a factor found on both sides is 1.
+    A difference that cancels completely is one empty alphabet, whose
+    s_0 is 1 and every other S-polynomial 0."""
     a, b = _as_virtual(a), _as_virtual(b)
-    return VirtualAlphabet(a.pos + b.neg, a.neg + b.pos)
+    v = VirtualAlphabet(a.pos + b.neg, a.neg + b.pos)  # refuses two rings before any root is matched
+    pos_roots = Counter(r for alph in v.pos for r in _signed_roots(alph))
+    shared = pos_roots & Counter(r for alph in v.neg for r in _signed_roots(alph))
+    if not shared:
+        return v
+    pos, neg = _strike(v.pos, shared.copy()), _strike(v.neg, shared)
+    return VirtualAlphabet(pos, neg) if pos or neg else VirtualAlphabet((Alphabet(v.ring, ()),))
 
 
 def _complete_series(v: VirtualAlphabet, upto: int, grown=None) -> tuple[list[Poly], list[Poly]]:

@@ -56,11 +56,12 @@ def skew_schur_sum(T: Partition, a: Alphabet, d) -> Poly:
     s_J(-D^∨) = s_{J̃}(D) (Macdonald, *Symmetric Functions and Hall
     Polynomials*, I.3 and I.5).  ``d`` may be an alphabet or a virtual
     one; its dual flips every sign, so a - (P - N)^∨ = (a + N^∨) - P^∨.
-    Writing a - d^∨ as X - Y, :func:`~qlocus.schur.schur_skew` factors
-    s_T when T_{|X|} >= |Y|, as for the surjection-model shapes of
-    :func:`ctop_vee_skew` and :func:`ctop_wedge_skew`; otherwise (the
-    independent model, the flag identities) it is one Jacobi-Trudi
-    determinant.
+    Writing a - d^∨ in lowest terms as X - Y,
+    :func:`~qlocus.schur.schur_skew` factors s_T when T_{|X|} >= |Y|, as
+    for the surjection-model shapes of :func:`ctop_vee_skew` and
+    :func:`ctop_wedge_skew` and for the flag identities, where
+    S* - (R* - S*)^∨ is S* - K; otherwise (the independent model) it is
+    one Jacobi-Trudi determinant.
     """
     return schur_s(T, difference(a, d.dual()))
 

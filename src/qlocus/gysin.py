@@ -70,26 +70,32 @@ class GrassmannSetup(Value):
 
 
 def _divided_difference(P: Poly, a: int, b: int) -> Poly:
-    """(P - s P) / (x_a - x_b), s swapping the variables a and b: a term
-    m x_a^i x_b^j maps to sign(i - j) (x_a x_b)^min(i,j) h_{|i-j|-1}(x_a, x_b) m,
-    so no exponent grows."""
+    """(P - s P) / (x_a - x_b), s swapping the variables a and b.  A term
+    m x_a^i x_b^j with i > j maps to m (x_a x_b)^j h_{i-j-1}(x_a, x_b):
+    the i - j monomials from x_a^(i-1) x_b^j, one subtraction from its
+    key, each next one trading an x_a for an x_b.  With i < j it maps to
+    minus the j - i monomials from x_a^i x_b^(j-1), each next one trading
+    an x_b for an x_a.  No exponent grows, so every key stays in the ring
+    of P, and the result is built as a ``Poly`` directly."""
     sa, sb = SHIFT * a, SHIFT * b
-    step = (1 << sa) - (1 << sb)
+    ua, ub = 1 << sa, 1 << sb
+    step = ua - ub  # one x_b traded for one x_a
     out: dict = {}
     get = out.get
     for k, c in P.terms.items():
-        i = (k >> sa) & MAX_EXP
-        j = (k >> sb) & MAX_EXP
-        if i == j:
-            continue
-        lo, d = min(i, j), abs(i - j)
-        c = c if i > j else -c
-        # x_a^lo x_b^(lo+d-1) m, then d-1 steps each moving one x_b to x_a
-        k += ((lo - i) << sa) + ((lo + d - 1 - j) << sb)
-        for _ in range(d):
-            out[k] = get(k, 0) + c
-            k += step
-    return P.ring.poly(out)
+        d = ((k >> sa) & MAX_EXP) - ((k >> sb) & MAX_EXP)
+        if d > 0:
+            k -= ua
+            for _ in range(d):
+                out[k] = get(k, 0) + c
+                k -= step
+        elif d:
+            k -= ub
+            c = -c
+            for _ in range(-d):
+                out[k] = get(k, 0) + c
+                k += step
+    return Poly(P.ring, {k: c for k, c in out.items() if c})
 
 
 def grassmann_pushforward(P: Poly, setup: GrassmannSetup) -> Poly:

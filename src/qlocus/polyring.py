@@ -443,14 +443,23 @@ def apply_substitution(P: Poly, mapping: dict, target: Ring | None = None) -> Po
 
 def is_symmetric(P: Poly, variables) -> bool:
     """True when ``P`` is invariant under all permutations of the listed
-    variables (checked on adjacent transpositions)."""
+    variable positions, checked on adjacent transpositions (a, b): each
+    term's coefficient against the coefficient at its key with fields a
+    and b swapped, so no permuted copy is built, stopping at the first
+    mismatch.  A position that is not an int in 0..nvars-1 raises
+    ``ValueError``."""
     variables = list(variables)
     n = P.ring.nvars
+    if any(type(v) is not int or not 0 <= v < n for v in variables):
+        raise ValueError(f"variable positions must be integers in 0..{n - 1}, got {variables!r}")
+    terms = P.terms
+    get = terms.get
     for a, b in zip(variables, variables[1:]):
-        perm = list(range(n))
-        perm[a], perm[b] = perm[b], perm[a]
-        if apply_permutation(P, perm).terms != P.terms:
-            return False
+        sa, sb = SHIFT * a, SHIFT * b
+        for k, c in terms.items():
+            d = ((k >> sa) & MAX_EXP) - ((k >> sb) & MAX_EXP)
+            if d and get(k - (d << sa) + (d << sb)) != c:
+                return False
     return True
 
 

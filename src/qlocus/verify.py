@@ -169,14 +169,15 @@ def pushforward_degree_factor(e: int, q: int, I: Partition) -> int:
 
 
 class PushforwardInstance(Frozen):
-    """G^q(E) on its own e-variable ring: the setup, c_top(R ⊗ Q), and
-    the alphabets of Q and E; immutable.  One instance serves every check
-    at (e, q), so the ring memo builds each series and Q-polynomial once."""
+    """G^q(E) on ``ring``, whose variables are the roots of E: the setup,
+    c_top(R ⊗ Q), and the alphabets of Q and E; immutable.  One instance
+    serves every check at (e, q), and the instances of one e share a
+    ring, so the ring memo builds each series and Q-polynomial of E once."""
 
     __slots__ = ("e", "q", "setup", "ctop_rq", "quotient", "total")
 
-    def __init__(self, e: int, q: int):
-        ring = Ring([("a", e)])
+    def __init__(self, ring: Ring, q: int):
+        e = ring.nvars
         quotient = Alphabet(ring, tuple(range(q)))
         ctop_rq = tensor_sum_product(Alphabet(ring, tuple(range(q, e))), quotient)
         setup = GrassmannSetup(tuple(range(e)), q)
@@ -217,8 +218,9 @@ def verify_pushforward_special(inst: PushforwardInstance, I: Partition) -> tuple
 
 def suite_gysin(max_e: int = 5, max_weight: int = 5) -> list[CaseResult]:
     out = []
-    # one instance per (e, q) for both loops
-    inst = {(e, q): PushforwardInstance(e, q) for e in range(1, max_e + 1) for q in range(e + 1)}
+    # one instance per (e, q) for both loops, on one ring per e
+    rings = {e: Ring([("a", e)]) for e in range(1, max_e + 1)}
+    inst = {(e, q): PushforwardInstance(rings[e], q) for e in rings for q in range(e + 1)}
     for e in range(1, max_e + 1):
         for q in range(0, e + 1):
             for I in strict_partitions_bounded(max_weight, q, max_weight):
@@ -374,9 +376,10 @@ class IdentityCheck(Frozen):
 
 class FlagModel(Frozen):
     """The surjection model of ranks (f + n, f) with the kernel flag of
-    step p: the model ``ctx``, the flag setup ``flag``, S* and R* - S*;
-    immutable.  One model serves both kinds of :func:`verify_identity`,
-    so the ring memo builds each series and Q-polynomial once."""
+    step p: the model ``ctx``, the flag setup ``flag``, S* and R* - S*
+    (in lowest terms K*, as R = S + K); immutable.  One model serves both
+    kinds of :func:`verify_identity`, so the ring memo builds each series
+    and Q-polynomial once."""
 
     __slots__ = ("ctx", "flag", "s_dual", "rs_diff")
 

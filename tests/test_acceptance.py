@@ -135,15 +135,17 @@ def test_criterion_3_top_chern_three_ways():
 def test_criterion_4_pushforward_coefficients():
     with criterion(4, "pushforward-coefficients", 300.0):
         for e in range(1, 7):
+            ring = Ring([("a", e)])
             for q in range(0, e + 1):
-                inst = PushforwardInstance(e, q)
+                inst = PushforwardInstance(ring, q)
                 for I in strict_partitions_bounded(5, q, 5):
                     chk = verify_pushforward_coefficient(I, inst)
                     assert chk.ok, (e, q, I, chk.d)
         # boundary shapes with their own closed forms
         for e in range(1, 6):
+            ring = Ring([("a", e)])
             for q in range(1, e + 1):
-                inst = PushforwardInstance(e, q)
+                inst = PushforwardInstance(ring, q)
                 for I in strict_partitions_bounded(6, q, 6):
                     if I.length in (q, q - 1):
                         applicable, ok = verify_pushforward_special(inst, I)

@@ -8,6 +8,7 @@ from qlocus import alphabets
 from qlocus.alphabets import (
     Alphabet,
     VirtualAlphabet,
+    complete_series,
     complete_sym,
     difference,
     make_model,
@@ -112,6 +113,54 @@ def test_complete_sym_self_difference_vanishes():
     assert complete_sym(0, v) == 1
     for i in range(1, 5):
         assert complete_sym(i, v).is_zero()
+
+
+@st.composite
+def _root_alphabets(draw, ring):
+    """An alphabet of ``ring``: distinct variables, values with repeats
+    and zeros, and either sign."""
+    variables = draw(st.lists(st.sampled_from(range(ring.nvars)), unique=True, max_size=ring.nvars))
+    values = draw(st.lists(st.integers(-2, 2), max_size=3))
+    return Alphabet(ring, tuple(variables), draw(st.booleans()), tuple(values))
+
+
+@given(st.data())
+def test_difference_in_lowest_terms_keeps_the_series(data):
+    # A + X - X strikes the roots of X, as a multiset: the series is the
+    # series of A, and of the difference with nothing struck
+    ring = Ring([("x", 3)])
+    A, X, B = (data.draw(_root_alphabets(ring)) for _ in range(3))
+    for got, raw in [
+        (difference(VirtualAlphabet((A, X)), X), VirtualAlphabet((A, X), (X,))),
+        (difference(VirtualAlphabet((A, X)), VirtualAlphabet((X, B))), VirtualAlphabet((A, X), (X, B))),
+    ]:
+        assert complete_series(got, 4)[:5] == alphabets._complete_series(raw, 4)[0]
+    assert complete_series(difference(VirtualAlphabet((A, X)), X), 4)[:5] == alphabets._complete_series(
+        VirtualAlphabet((A,)), 4
+    )[0]
+
+
+@given(st.data())
+def test_a_fully_cancelled_difference_is_the_empty_alphabet(data):
+    ring = Ring([("x", 3)])
+    A, X = (data.draw(_root_alphabets(ring)) for _ in range(2))
+    v = difference(VirtualAlphabet((A, X)), VirtualAlphabet((X, A)))
+    assert not any(a.size for a in v.pos + v.neg)
+    if A.size + X.size:
+        assert not v.neg and [a.size for a in v.pos] == [0]
+    assert schur_s(Partition(), v) == 1
+    for lam in [(1,), (2,), (1, 1), (2, 1), (3, 1, 1)]:
+        assert schur_s(Partition(lam), v).is_zero(), lam
+
+
+@given(st.data())
+def test_difference_of_two_rings_raises_before_matching_roots(data):
+    # the same positions and values on two rings must not cancel
+    rings = Ring([("x", 3)]), Ring([("x", 3)])
+    A = data.draw(_root_alphabets(rings[0]))
+    B = Alphabet(rings[1], A.variables, A.negated, A.values)
+    with pytest.raises(ValueError, match="share one ring"):
+        difference(A, B)
 
 
 def literal_series_coefficient(ring, i, pos, neg):

@@ -17,7 +17,7 @@ from qlocus.locus import LocusProblem, class_of, expression_to_poly
 from qlocus.partitions import Partition, subpartitions
 from qlocus.polyring import Ring, product
 from qlocus.schur import jacobi_trudi
-from qlocus.verify import FlagModel, ctop_tensor
+from qlocus.verify import FlagModel, ctop_tensor, verify_identity
 
 
 def literal_skew_schur_sum(T, a, d):
@@ -179,6 +179,25 @@ def test_skew_schur_sum_matches_the_literal_sum_on_the_flag_model(f, p, n):
     s_dual, rs_diff = model.s_dual, model.rs_diff
     for T in (_skew_shapes(e - p, n + 1), _skew_shapes(e - p - 1, n)):
         assert skew_schur_sum(T, s_dual, rs_diff) == literal_skew_schur_sum(T, s_dual, rs_diff), T
+
+
+@pytest.mark.parametrize("f,p,n", [(3, 1, 1), (4, 1, 1), (4, 0, 1)])
+@pytest.mark.parametrize("kind", ["sym", "skew"])
+def test_flag_identities_build_no_determinant_over_a_two_sided_alphabet(monkeypatch, kind, f, p, n):
+    # R* - S* in lowest terms is K*, so the middle member s_T(S* - K)
+    # takes the hook factorization and the staircase sums see one-sided
+    # alphabets; with S on both sides of the difference, each identity
+    # built 6 to 11 determinants over it
+    built = []
+    build = schur.jacobi_trudi
+
+    def recording(lam, mu, v):
+        built.append(v)
+        return build(lam, mu, v)
+
+    monkeypatch.setattr(schur, "jacobi_trudi", recording)
+    assert verify_identity(kind, FlagModel(f, p, n)).ok
+    assert built and not [v for v in built if v.pos and v.neg]
 
 
 @st.composite

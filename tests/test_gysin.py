@@ -9,6 +9,7 @@ from qlocus.gysin import (
     FlagSetup,
     GrassmannSetup,
     RepeatedPushforward,
+    _divided_difference,
     flag_pushforward,
     grassmann_pushforward,
 )
@@ -89,6 +90,25 @@ def test_pushforward_matches_the_coset_sum(nvars, vs):
 def line_setup(e):
     ring = Ring([("a", e)])
     return ring, GrassmannSetup(tuple(range(e)), 1)
+
+
+R4 = Ring([("y", 4)])
+polys4 = st.dictionaries(
+    st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(4))),
+    st.integers(min_value=-6, max_value=6),
+    max_size=6,
+).map(lambda d: R4.poly({R4.pack(e): c for e, c in d.items()}))
+
+
+@given(polys4, st.lists(st.integers(0, 3), unique=True, min_size=2, max_size=2))
+def test_divided_difference_against_the_permutation_oracle(P, pair):
+    # (x_a - x_b) * d_ab(P) == P - s_ab P, s_ab by relabelling the variables
+    a, b = pair
+    perm = list(range(R4.nvars))
+    perm[a], perm[b] = b, a
+    got = _divided_difference(P, a, b)
+    assert (R4.variable(a) - R4.variable(b)) * got == P - apply_permutation(P, perm)
+    assert all(c for c in got.terms.values())
 
 
 def test_rank_one_quotient_pushforward_is_a_complete_sym():
@@ -222,6 +242,11 @@ def test_degree_factor_values():
     assert pushforward_degree_factor(5, 3, Partition((2, 1))) == 1
 
 
+def _ring(e):
+    """A fresh ring of e variables, the roots of E."""
+    return Ring([("a", e)])
+
+
 @pytest.mark.parametrize(
     "e,q,parts",
     [
@@ -234,12 +259,12 @@ def test_degree_factor_values():
     ],
 )
 def test_pushforward_coefficient_formula(e, q, parts):
-    chk = verify_pushforward_coefficient(Partition(parts), PushforwardInstance(e, q))
+    chk = verify_pushforward_coefficient(Partition(parts), PushforwardInstance(_ring(e), q))
     assert chk.ok, (e, q, parts, chk.d)
 
 
 def test_pushforward_coefficient_rejects_bad_shapes():
-    inst = PushforwardInstance(4, 2)
+    inst = PushforwardInstance(_ring(4), 2)
     with pytest.raises(ValueError):
         verify_pushforward_coefficient(Partition((2, 2)), inst)
     with pytest.raises(ValueError):
@@ -248,41 +273,43 @@ def test_pushforward_coefficient_rejects_bad_shapes():
 
 def test_pushforward_special_cases():
     # full-length I keeps the Q-polynomial on the nose
-    applicable, ok = verify_pushforward_special(PushforwardInstance(3, 1), Partition((2,)))
+    applicable, ok = verify_pushforward_special(PushforwardInstance(_ring(3), 1), Partition((2,)))
     assert applicable and ok
-    applicable, ok = verify_pushforward_special(PushforwardInstance(4, 2), Partition((3, 1)))
+    applicable, ok = verify_pushforward_special(PushforwardInstance(_ring(4), 2), Partition((3, 1)))
     assert applicable and ok
     # one-short I: survives for even e - q, dies for odd
-    applicable, ok = verify_pushforward_special(PushforwardInstance(4, 2), Partition((2,)))
+    applicable, ok = verify_pushforward_special(PushforwardInstance(_ring(4), 2), Partition((2,)))
     assert applicable and ok
-    applicable, ok = verify_pushforward_special(PushforwardInstance(4, 1), Partition(()))
+    applicable, ok = verify_pushforward_special(PushforwardInstance(_ring(4), 1), Partition(()))
     assert applicable and ok
-    applicable, ok = verify_pushforward_special(PushforwardInstance(4, 2), Partition(()))
+    applicable, ok = verify_pushforward_special(PushforwardInstance(_ring(4), 2), Partition(()))
     assert not applicable and ok
 
 
 def test_a_shared_instance_gives_the_fresh_results():
-    # both kinds of check on one instance per (e, q), as the gysin suite
-    # runs them, against a fresh instance per check: the ring memo must
-    # never serve one check's series or Q-polynomials to another
+    # both kinds of check on one instance per (e, q) and one ring per e,
+    # as the gysin suite runs them, against a fresh instance on a fresh
+    # ring per check: the ring memo must never serve one check's series
+    # or Q-polynomials to another
     for e in range(1, 5):
+        ring = _ring(e)
         for q in range(e + 1):
-            shared = PushforwardInstance(e, q)
+            shared = PushforwardInstance(ring, q)
             for I in strict_partitions_bounded(4, q, 4):
                 got = verify_pushforward_coefficient(I, shared)
-                fresh = verify_pushforward_coefficient(I, PushforwardInstance(e, q))
+                fresh = verify_pushforward_coefficient(I, PushforwardInstance(_ring(e), q))
                 assert got.ok and fresh.ok, (e, q, I)
                 assert got.computed.terms == fresh.computed.terms, (e, q, I)
                 assert got.expected.terms == fresh.expected.terms, (e, q, I)
             for I in strict_partitions_bounded(5, q, 5):
                 if I.length in (q, q - 1):
                     got = verify_pushforward_special(shared, I)
-                    assert got == verify_pushforward_special(PushforwardInstance(e, q), I)
+                    assert got == verify_pushforward_special(PushforwardInstance(_ring(e), q), I)
                     assert got == (True, True), (e, q, I)
 
 
 def test_pushforward_instance_parts():
-    inst = PushforwardInstance(4, 1)
+    inst = PushforwardInstance(_ring(4), 1)
     assert (inst.e, inst.q) == (4, 1)
     assert inst.setup == GrassmannSetup((0, 1, 2, 3), 1)
     assert inst.quotient.variables == (0,) and inst.total.variables == (0, 1, 2, 3)

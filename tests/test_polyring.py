@@ -1,5 +1,6 @@
 import operator
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -369,6 +370,37 @@ def test_is_symmetric():
     assert is_symmetric(e2, R.block("x"))
     assert not is_symmetric(x1 + x2 * 2, R.block("x"))
     assert is_symmetric(x1 * x2, (0, 1))
+    # -2 aliased position 1 and read True; 3 died with a bare IndexError
+    for positions in ([1, -2], [0, 3], [0, True]):
+        with pytest.raises(ValueError, match=r"integers in 0\.\.2"):
+            is_symmetric(x1 + x2 * 2, positions)
+
+
+R4 = Ring([("y", 4)])
+polys4 = st.dictionaries(
+    st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(4))), coeffs, max_size=6
+).map(lambda d: R4.poly({R4.pack(e): c for e, c in d.items()}))
+
+
+def _swapped(P, a, b):
+    perm = list(range(P.ring.nvars))
+    perm[a], perm[b] = b, a
+    return apply_permutation(P, perm)
+
+
+@given(polys4, st.lists(st.integers(0, 3), unique=True, min_size=2, max_size=4), st.booleans())
+def test_is_symmetric_agrees_with_the_permutation_oracle(P, positions, symmetrize):
+    # symmetrized input reaches the True answer, raw input mostly False
+    if symmetrize:
+        total = R4.zero
+        for image in permutations(positions):
+            perm = list(range(R4.nvars))
+            for a, b in zip(positions, image):
+                perm[a] = b
+            total = total + apply_permutation(P, perm)
+        P = total
+    want = all(_swapped(P, a, b) == P for a, b in zip(positions, positions[1:]))
+    assert is_symmetric(P, positions) == want
 
 
 def test_product_helper():

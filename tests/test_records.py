@@ -39,7 +39,7 @@ FROZEN = [
     (LocusProblem(4, 3, 2, "sym"), "r"),
     (ClassExpression("Q", ()), "kind"),
     (CaseResult("schur.resultant", "n=1 m=1", True), "ok"),
-    (PushforwardInstance(3, 1), "ctop_rq"),
+    (PushforwardInstance(RING, 1), "ctop_rq"),
     (FlagModel(2, 0, 1), "rs_diff"),
     (Partition((2, 1)), "parts"),
     (PushforwardCheck(1, 0, Partition(), 1, RING.one, RING.one), "computed"),
