@@ -3,11 +3,12 @@ root sums (:func:`pair_sum_product`, :func:`tensor_sum_product`).
 
 An :class:`Alphabet` is an ordered tuple of ring variables and root
 values, optionally with all signs flipped (the roots of a dual bundle).  A
-:class:`VirtualAlphabet` is a formal difference of alphabets; only the
-complete symmetric series is defined for it.  :func:`difference` builds
-it in lowest terms: a root found on both sides is struck, so R - S with
-R ⊃ S is one-sided, and an S-polynomial of it takes the one-sided or
-hook rules of :mod:`qlocus.schur` instead of a two-sided determinant.
+:class:`VirtualAlphabet` is a formal difference P - N of two flat tuples
+of signed roots; only the complete symmetric series is defined for it.
+Every way of building one keeps it in lowest terms: a root found on both
+sides is struck, so R - S with R ⊃ S is one-sided, and an S-polynomial
+of it takes the one-sided or hook rules of :mod:`qlocus.schur` instead of
+a two-sided determinant.
 
 Two evaluation models are used everywhere:
 
@@ -17,19 +18,19 @@ Two evaluation models are used everywhere:
 * ``independent`` — separate blocks ``e`` and ``f`` with E - F a genuine
   virtual difference.
 
-Both are :class:`~qlocus.records.Frozen` records, so they compare by
-identity: two alphabets built from the same roots are distinct objects,
-and the memo tables key on :meth:`sig` instead.
+Both are :class:`~qlocus.records.Value` records: two alphabets built
+from the same roots of one ring are equal, so the memo tables of the
+ring key on the alphabet itself.
 """
 from __future__ import annotations
 
 from collections import Counter
 
 from .polyring import Poly, Ring, product
-from .records import Frozen
+from .records import Value
 
 
-class Alphabet(Frozen):
+class Alphabet(Value):
     """An ordered set of Chern roots, possibly negated: the ring
     ``variables``, then the integers ``values``."""
 
@@ -57,84 +58,88 @@ class Alphabet(Frozen):
         vs = [self.ring.variable(i) for i in self.variables] + [self.ring.const(c) for c in self.values]
         return [-v for v in vs] if self.negated else vs
 
-    def sig(self) -> tuple:
-        return ("A", self.variables, self.negated, self.values)
 
+class VirtualAlphabet(Value):
+    """The formal difference (roots of ``pos``) - (roots of ``neg``) in
+    ``ring``.  A root is (position, negated) for a ring variable and the
+    signed integer for a value.  Built from the alphabets of each side,
+    or by :func:`difference` and the methods below, always in lowest
+    terms: no root is on both sides."""
 
-class VirtualAlphabet(Frozen):
-    """Formal difference (sum of ``pos``) - (sum of ``neg``)."""
-
-    __slots__ = ("pos", "neg")
+    __slots__ = ("ring", "pos", "neg")
 
     def __init__(self, pos: tuple[Alphabet, ...], neg: tuple[Alphabet, ...] = ()):
         alphabets = pos + neg
         if not alphabets:
             raise ValueError("a virtual alphabet needs at least one alphabet")
-        if any(a.ring is not alphabets[0].ring for a in alphabets):
+        ring = alphabets[0].ring
+        if any(a.ring is not ring for a in alphabets):
             raise ValueError("the alphabets of a virtual alphabet must share one ring")
-        self._set(pos=pos, neg=neg)
+        pos, neg = (
+            tuple((x, a.negated) for a in side for x in a.variables)
+            + tuple(-c if a.negated else c for a in side for c in a.values)
+            for side in (pos, neg)
+        )
+        self._set_struck(ring, pos, neg)
 
-    @property
-    def ring(self) -> Ring:
-        return (self.pos + self.neg)[0].ring
+    def _set_struck(self, ring: Ring, pos: tuple, neg: tuple) -> None:
+        """Set the fields to ``pos`` - ``neg`` with every root found on
+        both sides struck, as a multiset.  This is exact: the series is
+        prod (1 - b t) / prod (1 - a t), and a factor found on both sides
+        is 1."""
+        if pos and neg:  # a one-sided alphabet has nothing to strike
+            p, n = Counter(pos), Counter(neg)
+            pos, neg = tuple((p - n).elements()), tuple((n - p).elements())
+        self._set(ring=ring, pos=pos, neg=neg)
 
     def dual(self) -> "VirtualAlphabet":
-        return VirtualAlphabet(
-            tuple(a.dual() for a in self.pos), tuple(a.dual() for a in self.neg)
-        )
+        return _virtual(self.ring, _flipped(self.pos), _flipped(self.neg))
 
-    def sig(self) -> tuple:
-        return ("V", tuple(a.sig() for a in self.pos), tuple(a.sig() for a in self.neg))
+    def minus_dual(self) -> "VirtualAlphabet":
+        """-V^∨, whose complete series is the elementary series of V."""
+        return _virtual(self.ring, _flipped(self.neg), _flipped(self.pos))
+
+    def halves(self) -> tuple["VirtualAlphabet", "VirtualAlphabet"]:
+        """P and -N, the one-sided alphabets of V = P - N."""
+        return _virtual(self.ring, self.pos, ()), _virtual(self.ring, (), self.neg)
+
+    def roots(self) -> tuple[list[Poly], list[Poly]]:
+        """The roots of P and of N as polynomials."""
+        return [_root(self.ring, r) for r in self.pos], [_root(self.ring, r) for r in self.neg]
 
 
-def _as_virtual(v) -> VirtualAlphabet:
-    if isinstance(v, Alphabet):
-        return VirtualAlphabet((v,))
+def _virtual(ring: Ring, pos: tuple, neg: tuple) -> VirtualAlphabet:
+    """The virtual alphabet ``pos`` - ``neg`` of flat signed roots, in
+    lowest terms."""
+    v = object.__new__(VirtualAlphabet)
+    v._set_struck(ring, pos, neg)
     return v
 
 
-def _signed_roots(alph: Alphabet) -> list:
-    """The roots of ``alph`` as hashable tokens: (position, negated) for
-    a variable, the signed integer for a value."""
-    neg = alph.negated
-    return [(v, neg) for v in alph.variables] + [-c if neg else c for c in alph.values]
+def _root(ring: Ring, root) -> Poly:
+    if type(root) is int:
+        return ring.const(root)
+    x = ring.variable(root[0])
+    return -x if root[1] else x
 
 
-def _strike(alphabets: tuple[Alphabet, ...], struck: Counter) -> tuple[Alphabet, ...]:
-    """``alphabets`` without the roots counted in ``struck``, each struck
-    once per count (``struck`` is used up); an alphabet left with no root
-    is dropped."""
-    out = []
-    for alph in alphabets:
-        keep = []
-        for root in _signed_roots(alph):
-            keep.append(not struck[root])
-            if struck[root]:
-                struck[root] -= 1
-        nvars = len(alph.variables)
-        variables = tuple(x for x, k in zip(alph.variables, keep) if k)
-        values = tuple(x for x, k in zip(alph.values, keep[nvars:]) if k)
-        if variables or values:
-            out.append(Alphabet(alph.ring, variables, alph.negated, values))
-    return tuple(out)
+def _flipped(roots: tuple) -> tuple:
+    return tuple(-r if type(r) is int else (r[0], not r[1]) for r in roots)
+
+
+def _as_virtual(v) -> VirtualAlphabet:
+    return VirtualAlphabet((v,)) if isinstance(v, Alphabet) else v
 
 
 def difference(a, b) -> VirtualAlphabet:
     """a - b, for alphabets or virtual alphabets on either side, in lowest
     terms: (P - N) - (P' - N') = (P + N') - (N + P'), with every root
-    found on both sides struck, as a multiset.  A root is a ring variable
-    with its sign, or a signed value.  This is exact: the series is
-    prod (1 - b t) / prod (1 - a t), and a factor found on both sides is 1.
-    A difference that cancels completely is one empty alphabet, whose
-    s_0 is 1 and every other S-polynomial 0."""
+    found on both sides struck.  A difference that cancels completely has
+    no root on either side: its s_0 is 1 and every other S-polynomial 0."""
     a, b = _as_virtual(a), _as_virtual(b)
-    v = VirtualAlphabet(a.pos + b.neg, a.neg + b.pos)  # refuses two rings before any root is matched
-    pos_roots = Counter(r for alph in v.pos for r in _signed_roots(alph))
-    shared = pos_roots & Counter(r for alph in v.neg for r in _signed_roots(alph))
-    if not shared:
-        return v
-    pos, neg = _strike(v.pos, shared.copy()), _strike(v.neg, shared)
-    return VirtualAlphabet(pos, neg) if pos or neg else VirtualAlphabet((Alphabet(v.ring, ()),))
+    if a.ring is not b.ring:  # before any root is matched
+        raise ValueError("the alphabets of a virtual alphabet must share one ring")
+    return _virtual(a.ring, a.pos + b.neg, a.neg + b.pos)
 
 
 def _complete_series(v: VirtualAlphabet, upto: int, grown=None) -> tuple[list[Poly], list[Poly]]:
@@ -149,8 +154,8 @@ def _complete_series(v: VirtualAlphabet, upto: int, grown=None) -> tuple[list[Po
     never rebuilt from t^0; the new pair is returned.
     """
     ring = v.ring
-    factors = [(b, False) for alph in v.neg for b in alph.roots()]
-    factors += [(a, True) for alph in v.pos for a in alph.roots()]
+    pos, neg = v.roots()
+    factors = [(b, False) for b in neg] + [(a, True) for a in pos]
     if grown is None:
         grown = ([ring.one], [ring.one] * (len(factors) + 1))
     series, column = list(grown[0]), grown[1]  # a copy: ``grown`` stays whole if a product overflows
@@ -167,12 +172,9 @@ def complete_series(v, upto: int) -> list[Poly]:
     """s_0, s_1, ... of an alphabet or virtual alphabet, at least through
     s_upto: the memoized series, extended when it is too short."""
     v = _as_virtual(v)
-    ring = v.ring
-    key = ("h", v.sig())
-    grown = ring.memo.get(key)
+    grown = v.ring.memo.get(("h", v))
     if grown is None or len(grown[0]) <= upto:
-        grown = _complete_series(v, upto, grown)
-        ring.memo[key] = grown
+        grown = v.ring.memo["h", v] = _complete_series(v, upto, grown)
     return grown[0]
 
 
@@ -181,7 +183,7 @@ def complete_sym(i: int, v) -> Poly:
     the product of geometric series of the positive roots times the
     linear factors of the negative roots."""
     if i < 0:
-        return _as_virtual(v).ring.zero
+        return v.ring.zero
     return complete_series(v, i)[i]
 
 
@@ -194,7 +196,11 @@ def q_sym(i: int, a: Alphabet) -> Poly:
     """
     if not isinstance(a, Alphabet):
         raise TypeError("Q-functions are defined for genuine alphabets only")
-    return complete_sym(i, difference(a, a.dual()))
+    memo = a.ring.memo
+    v = memo.get(("q", a))
+    if v is None:  # A - A^∨ is built once per alphabet
+        v = memo[("q", a)] = difference(a, a.dual())
+    return complete_sym(i, v)
 
 
 def pair_sum_product(a: Alphabet, strict: bool) -> Poly:
@@ -221,6 +227,8 @@ class ModelContext:
     def __init__(self, mode: str, e: int, f: int):
         if mode not in ("surjection", "independent"):
             raise ValueError(f"unknown model {mode!r}")
+        if any(type(x) is not int for x in (e, f)):
+            raise ValueError(f"ranks must be integers, got e={e!r}, f={f!r}")
         if not e >= f >= 0:
             raise ValueError(f"need e >= f >= 0, got e={e}, f={f}")
         self.mode = mode

@@ -60,6 +60,8 @@ class GrassmannSetup(Value):
 
     def __init__(self, variables: tuple[int, ...], q: int):
         _check_roots(variables)
+        if type(q) is not int:
+            raise ValueError(f"q must be an integer, got {q!r}")
         if not 0 <= q <= len(variables):
             raise ValueError(f"q={q} out of range for {len(variables)} roots")
         self._set(variables=variables, q=q)

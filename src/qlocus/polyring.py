@@ -88,8 +88,9 @@ class Ring:
         self.zero = Poly(self, {})
         self.one = Poly(self, {0: 1})
         self._vcache = [Poly(self, {1 << (SHIFT * i): 1}) for i in range(pos)]
-        # alphabets/schur memo: "h" complete series, "Q" staircase-factored
-        # and "Pf" Pfaffian Q-polynomials
+        # alphabets/schur memo, keyed on an alphabet's value: "h" complete
+        # series, "q" the difference A - A^∨, "Q" staircase-factored and
+        # "Pf" Pfaffian Q-polynomials
         self.memo: dict = {}
 
     def block(self, name: str) -> tuple[int, ...]:

@@ -39,7 +39,6 @@ from .alphabets import (
     complete_series,
     pair_sum_product,
     q_sym,
-    tensor_sum_product,
 )
 from .partitions import Partition, subpartitions
 from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric, product
@@ -92,7 +91,9 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
     one-sided alphabet takes the side of its elementary series: the
     conjugate shape over -V^∨ for positive roots, the shape as it stands
     for negative ones.  A two-sided alphabet takes the side with fewer
-    rows.
+    rows.  Both alphabets come from :mod:`qlocus.alphabets` in lowest
+    terms (-V^∨ is ``VirtualAlphabet.minus_dual``), so no series is
+    built over a root found on both sides.
     """
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
@@ -104,8 +105,7 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
     # entries have at most C(n, j) terms, where the complete series grows
     # without end; a two-sided alphabet has no such side.
     if lam.part(1) < lam.length if v.pos and v.neg else not v.neg:
-        d = v.dual()  # -V^∨ swaps the sides of V^∨
-        return jacobi_trudi(lam.conjugate(), mu.conjugate(), VirtualAlphabet(d.neg, d.pos))
+        return jacobi_trudi(lam.conjugate(), mu.conjugate(), v.minus_dual())
     return jacobi_trudi(lam, mu, v)
 
 
@@ -117,7 +117,6 @@ def jacobi_trudi(lam: Partition, mu: Partition, v) -> Poly:
     as the oracle of the factorization."""
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
-    v = _as_virtual(v)
     ring = v.ring
     k = lam.length
     if k == 0:
@@ -141,18 +140,20 @@ def _hook_factor(lam: Partition, v: VirtualAlphabet) -> Poly | None:
       * s_alpha(P) * s_beta(-N), with alpha = (lam_1 - b, ..., lam_a - b)
       and beta = (lam_{a+1}, lam_{a+2}, ...).
 
+    The sizes and the product are read off the flat roots of v, and the
+    halves P and -N are ``VirtualAlphabet.halves``.
+
     Returns None where neither applies (lam_a < b, or a one-sided
     alphabet), which leaves the determinant.
     """
-    a = sum(x.size for x in v.pos)
-    b = sum(x.size for x in v.neg)
+    a, b = len(v.pos), len(v.neg)
     if lam.part(a + 1) > b:
         return v.ring.zero
     if not (a and b) or lam.part(a) < b:
         return None
-    P = VirtualAlphabet(v.pos)
-    minus_N = VirtualAlphabet((), v.neg)
-    resultant = product(v.ring, (tensor_sum_product(xs, ys.dual()) for xs in v.pos for ys in v.neg))
+    P, minus_N = v.halves()
+    xs, ys = v.roots()
+    resultant = product(v.ring, (x - y for x in xs for y in ys))
     alpha = Partition(tuple(p - b for p in lam.parts[:a]))
     beta = Partition(lam.parts[a:])
     return resultant * schur_s(alpha, P) * schur_s(beta, minus_N)
@@ -183,7 +184,7 @@ def schur_q(I: Partition, a: Alphabet) -> Poly:
     ring = a.ring
     if l > n:
         return ring.zero
-    key = ("Q", a.sig(), I.parts)
+    key = ("Q", a, I.parts)
     got = ring.memo.get(key)
     if got is None:
         shape = Partition(tuple(p - (n - 1 - i) for i, p in enumerate(I.padded(n))))
@@ -202,7 +203,7 @@ def pfaffian_q(I: Partition, a: Alphabet) -> Poly:
         raise TypeError("Q-polynomials are defined for genuine alphabets only")
     parts = I.parts + (0,) * (I.length % 2)
     ring = a.ring
-    key = ("Pf", a.sig(), parts)
+    key = ("Pf", a, parts)
     got = ring.memo.get(key)
     if got is not None:
         return got
@@ -280,6 +281,8 @@ def _straighten(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
     return a wrong answer.
     """
     ring = P.ring
+    if not all(isinstance(a, Alphabet) for a in alphabets):
+        raise TypeError("only genuine alphabets have an S-basis expansion")
     if any(a.ring is not ring for a in alphabets):
         raise ValueError("alphabets must belong to the ring of the polynomial")
     if any(a.values for a in alphabets):

@@ -1,10 +1,11 @@
 from fractions import Fraction
 from itertools import combinations, product as cartesian
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qlocus import alphabets
+from qlocus import alphabets, schur
 from qlocus.alphabets import (
     Alphabet,
     VirtualAlphabet,
@@ -75,6 +76,24 @@ def test_value_alphabets_never_share_a_memo_entry(other):
     assert on_b != on_a
 
 
+def test_equal_alphabets_built_separately_share_one_memo_entry():
+    # the memo keys on the alphabet's value: a second build of the same
+    # roots reads the first one's series and Q-polynomials
+    ring = Ring([("a", 3), ("b", 2)])
+
+    def build():
+        A = Alphabet(ring, ring.block("a"), values=(2,))
+        return A, difference(A, Alphabet(ring, ring.block("b")))
+
+    (A, v), (A2, v2) = build(), build()
+    assert A is not A2 and v is not v2
+    first = complete_series(v, 5), complete_series(A, 5), schur_q(Partition((3, 1)), A), q_sym(4, A)
+    keys = set(ring.memo)
+    again = complete_series(v2, 5), complete_series(A2, 5), schur_q(Partition((3, 1)), A2), q_sym(4, A2)
+    assert set(ring.memo) == keys
+    assert all(x is y for x, y in zip(first, again))
+
+
 @pytest.mark.parametrize("values", [(), (3,), (2, -1), (1, 0, 2)])
 def test_size_counts_values(values):
     # ctop_sym2 and ctop_wedge2 take their staircase from ``size``
@@ -124,20 +143,66 @@ def _root_alphabets(draw, ring):
     return Alphabet(ring, tuple(variables), draw(st.booleans()), tuple(values))
 
 
+def _series_of_sides(ring, pos, neg, upto):
+    """prod 1/(1-a t) over the roots of the alphabets ``pos`` times
+    prod (1-b t) over those of ``neg``, to t^upto: the one-sided series
+    of each side, built factor by factor from ``Alphabet.roots`` and
+    multiplied as Poly series, with no virtual alphabet and no root
+    struck."""
+    h = [ring.one] + [ring.zero] * upto
+    for a in (r for alph in pos for r in alph.roots()):
+        for j in range(1, upto + 1):
+            h[j] = h[j] + a * h[j - 1]
+    e = [ring.one] + [ring.zero] * upto
+    for b in (r for alph in neg for r in alph.roots()):
+        for j in range(upto, 0, -1):
+            e[j] = e[j] - b * e[j - 1]
+    return [sum((h[j] * e[i - j] for j in range(i + 1)), ring.zero) for i in range(upto + 1)]
+
+
 @given(st.data())
 def test_difference_in_lowest_terms_keeps_the_series(data):
     # A + X - X strikes the roots of X, as a multiset: the series is the
-    # series of A, and of the difference with nothing struck
+    # series of A, and that of both sides multiplied with nothing struck
     ring = Ring([("x", 3)])
     A, X, B = (data.draw(_root_alphabets(ring)) for _ in range(3))
-    for got, raw in [
-        (difference(VirtualAlphabet((A, X)), X), VirtualAlphabet((A, X), (X,))),
-        (difference(VirtualAlphabet((A, X)), VirtualAlphabet((X, B))), VirtualAlphabet((A, X), (X, B))),
+    for got, pos, neg in [
+        (difference(VirtualAlphabet((A, X)), X), (A, X), (X,)),
+        (difference(VirtualAlphabet((A, X)), X), (A,), ()),
+        (difference(VirtualAlphabet((A, X)), VirtualAlphabet((X, B))), (A, X), (X, B)),
+        (VirtualAlphabet((A, X), (X, B)), (A, X), (X, B)),
     ]:
-        assert complete_series(got, 4)[:5] == alphabets._complete_series(raw, 4)[0]
-    assert complete_series(difference(VirtualAlphabet((A, X)), X), 4)[:5] == alphabets._complete_series(
-        VirtualAlphabet((A,)), 4
-    )[0]
+        assert complete_series(got, 4)[:5] == _series_of_sides(ring, pos, neg, 4)
+
+
+@given(st.data())
+def test_no_virtual_alphabet_has_a_root_on_both_sides(data):
+    # the constructor, difference, dual and the sides and hook halves
+    # that schur builds all strike a root found on both sides
+    ring = Ring([("x", 3)])
+    pos = tuple(data.draw(st.lists(_root_alphabets(ring), min_size=1, max_size=3)))
+    neg = tuple(data.draw(st.lists(_root_alphabets(ring), max_size=3)))
+    A = data.draw(_root_alphabets(ring))
+    v = VirtualAlphabet(pos, neg)
+    built = [v, VirtualAlphabet(neg + pos, pos), difference(v, A), difference(A, v), difference(v, v.dual())]
+    built += [w for u in list(built) for w in (u.dual(), u.minus_dual(), *u.halves())]
+    seen = []  # the alphabet of every determinant and S-polynomial schur_s builds
+
+    def recording(build):
+        def recorded(*args):
+            seen.append(args[-1])
+            return build(*args)
+
+        return recorded
+
+    with patch.object(schur, "jacobi_trudi", recording(schur.jacobi_trudi)), patch.object(
+        schur, "schur_skew", recording(schur.schur_skew)
+    ):
+        for lam in [(1,), (2, 1), (3, 3), (1, 1, 1, 1)]:
+            schur_s(Partition(lam), v)
+    assert seen
+    built += [w for w in seen if isinstance(w, VirtualAlphabet)]
+    assert not any(set(w.pos) & set(w.neg) for w in built)
 
 
 @given(st.data())
@@ -145,9 +210,7 @@ def test_a_fully_cancelled_difference_is_the_empty_alphabet(data):
     ring = Ring([("x", 3)])
     A, X = (data.draw(_root_alphabets(ring)) for _ in range(2))
     v = difference(VirtualAlphabet((A, X)), VirtualAlphabet((X, A)))
-    assert not any(a.size for a in v.pos + v.neg)
-    if A.size + X.size:
-        assert not v.neg and [a.size for a in v.pos] == [0]
+    assert v.pos == v.neg == () and v.ring is ring
     assert schur_s(Partition(), v) == 1
     for lam in [(1,), (2,), (1, 1), (2, 1), (3, 1, 1)]:
         assert schur_s(Partition(lam), v).is_zero(), lam
@@ -358,6 +421,12 @@ def test_model_context_validation():
         make_model("diagonal", 3, 2)
     with pytest.raises(ValueError):
         make_model("surjection", 2, 3)
+    # a float rank died inside Ring with a bare TypeError
+    for e, f in [(3, 2.5), (3.0, 2), (3, True)]:
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            make_model("surjection", e, f)
+        with pytest.raises(ValueError, match="ranks must be integers"):
+            make_model("independent", e, f)
 
 
 def test_surjection_and_independent_models_agree():

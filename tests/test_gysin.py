@@ -194,6 +194,11 @@ def test_setup_validation():
         GrassmannSetup((-1, 0), 1)
     with pytest.raises(ValueError, match="must be integers"):
         GrassmannSetup((0.0, 1.0, 2.0), 1)
+    # a float q built, and the push then died slicing the roots with it
+    with pytest.raises(ValueError, match="q must be an integer"):
+        GrassmannSetup((0, 1, 2), 1.0)
+    with pytest.raises(ValueError, match="q must be an integer"):
+        GrassmannSetup((0, 1, 2), True)
     # a flag setup refuses at construction what its inner setups or the
     # push would only trip over later
     with pytest.raises(ValueError, match="p must be an integer"):

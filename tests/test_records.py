@@ -1,10 +1,11 @@
 """The record classes derive from the two bases of ``qlocus.records``,
 plain classes with ``__slots__``, so that a CLI start never imports
 ``dataclasses``.  They keep the contract the decorators gave them: every
-``Frozen`` record refuses assignment, the ``Value`` records compare and
-hash by their fields, alphabets compare by identity, and every
-constructor takes keywords and keeps its defaults.  Every record of the
-package is listed below, so a new one cannot skip these tests."""
+``Frozen`` record refuses assignment, the ``Value`` records (alphabets
+among them, whose ring compares by identity) compare and hash by their
+fields, and every constructor takes keywords and keeps its defaults.
+Every record of the package is listed below, so a new one cannot skip
+these tests."""
 import importlib
 import pkgutil
 
@@ -64,6 +65,8 @@ VALUES = [
     (ClassExpression, ("Q", ((Partition((1,)), Partition(()), 1),)), ("P", ())),
     (GrassmannSetup, ((0, 1, 2), 1), ((0, 1, 2), 2)),
     (FlagSetup, ((0, 1, 2), (3,), 1), ((0, 1, 2), (3,), 0)),
+    (Alphabet, (RING, (0, 1)), (RING, (0, 1), True)),
+    (VirtualAlphabet, ((A,), (A.dual(),)), ((A,), (Alphabet(RING, (2,)),))),
 ]
 
 
@@ -106,10 +109,15 @@ def test_every_record_of_the_package_is_under_contract():
     assert {cls for cls in records if issubclass(cls, Value)} == {v[0] for v in VALUES}
 
 
-def test_alphabets_compare_by_identity():
-    assert A == A
-    assert Alphabet(RING, (0, 1)) != Alphabet(RING, (0, 1))
-    assert VirtualAlphabet((A,)) != VirtualAlphabet((A,))
+def test_alphabets_compare_by_value_within_one_ring():
+    assert Alphabet(RING, (0, 1)) == A and VirtualAlphabet((A,)) == VirtualAlphabet((A,))
+    # a virtual alphabet holds its roots flat and in lowest terms
+    assert VirtualAlphabet((A, Alphabet(RING, (2,))), (A,)) == VirtualAlphabet((Alphabet(RING, (2,)),))
+    # the same layout on another ring is another alphabet
+    other = Ring([("a", 3)])
+    assert Alphabet(other, (0, 1)) != A
+    assert VirtualAlphabet((Alphabet(other, (0, 1)),)) != VirtualAlphabet((A,))
+    assert len({A, Alphabet(RING, (0, 1)), Alphabet(other, (0, 1))}) == 2
 
 
 def test_keyword_construction_and_defaults():

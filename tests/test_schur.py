@@ -607,8 +607,8 @@ def test_hook_factorization_matches_the_determinant(problem):
 def _conjugate_jacobi_trudi(lam, mu, v):
     """s_{lam/mu}(v) as the determinant of the conjugate shape over -V^∨:
     the other side of the dual Jacobi-Trudi identity from jacobi_trudi."""
-    d = (v if isinstance(v, VirtualAlphabet) else VirtualAlphabet((v,))).dual()
-    return jacobi_trudi(lam.conjugate(), mu.conjugate(), VirtualAlphabet(d.neg, d.pos))
+    v = v if isinstance(v, VirtualAlphabet) else VirtualAlphabet((v,))
+    return jacobi_trudi(lam.conjugate(), mu.conjugate(), v.minus_dual())
 
 
 def _one_sided_alphabets():
@@ -772,6 +772,21 @@ def test_expand_schur_basis_rejects_foreign_variables():
     # the same layout is not the same ring
     with pytest.raises(ValueError, match="ring of the polynomial"):
         expand_schur_basis(schur_s(Partition((2,)), F), Alphabet(Ring([("f", 2)]), (0, 1)))
+
+
+def test_expansions_refuse_a_virtual_alphabet():
+    # only genuine alphabets have an S-basis expansion; a virtual one
+    # died on a missing attribute
+    ring = Ring([("f", 2), ("e", 2)])
+    F, E = Alphabet(ring, ring.block("f")), Alphabet(ring, ring.block("e"))
+    P = schur_s(Partition((2,)), F)
+    for V in (VirtualAlphabet((F,)), difference(E, F)):
+        with pytest.raises(TypeError, match="only genuine alphabets"):
+            expand_schur_basis(P, V)
+        with pytest.raises(TypeError, match="only genuine alphabets"):
+            expand_schur_pair(P, F, V)
+        with pytest.raises(TypeError, match="only genuine alphabets"):
+            expand_schur_pair(P, V, E)
 
 
 @given(st.data())
