@@ -9,7 +9,7 @@ Q[2](F) + Q[1](F)*s[1](E-F)
 
 __version__ = "0.1.0"
 
-from .alphabets import Alphabet, ModelContext, VirtualAlphabet, difference, make_model
+from .alphabets import Alphabet, ModelContext, difference, make_model
 from .gysin import FlagSetup, GrassmannSetup, flag_pushforward, grassmann_pushforward
 from .locus import (
     ClassExpression,

@@ -1,26 +1,29 @@
 """Alphabets of Chern roots, their generating series and the products of
 root sums (:func:`pair_sum_product`, :func:`tensor_sum_product`).
 
-An :class:`Alphabet` is an ordered tuple of ring variables and root
-values, optionally with all signs flipped (the roots of a dual bundle).  A
-:class:`VirtualAlphabet` is a formal difference P - N of two flat tuples
-of signed roots; only the complete symmetric series is defined for it.
-Every way of building one keeps it in lowest terms: a root found on both
-sides is struck, so R - S with R ⊃ S is one-sided, and an S-polynomial
-of it takes the one-sided or hook rules of :mod:`qlocus.schur` instead of
-a two-sided determinant.
+An :class:`Alphabet` is the formal difference P - N of two flat tuples
+of signed roots in one ring, the alphabet A - B of Fulton-Pragacz
+(*Schubert Varieties and Degeneracy Loci*, LNM 1689): a bundle and a
+difference of bundles are one object, and the alphabet is genuine when N
+is empty.  The constructor builds a genuine one from ring variables and
+root values, optionally with all signs flipped (the roots of a dual
+bundle); :func:`difference` and the methods build every other.  Every
+way of building one keeps it in lowest terms: a root found on both sides
+is struck, so R - S with R ⊃ S is genuine, and an S-polynomial of it
+takes the one-sided or hook rules of :mod:`qlocus.schur` instead of a
+two-sided determinant.
 
 Two evaluation models are used everywhere:
 
 * ``surjection`` — one variable block ``f`` for F and one block ``k``
   for the kernel K, with E presented as the concatenation F + K, so that
   s_i(E - F) is literally s_i(K);
-* ``independent`` — separate blocks ``e`` and ``f`` with E - F a genuine
-  virtual difference.
+* ``independent`` — separate blocks ``e`` and ``f`` with E - F a
+  two-sided difference.
 
-Both are :class:`~qlocus.records.Value` records: two alphabets built
-from the same roots of one ring are equal, so the memo tables of the
-ring key on the alphabet itself.
+An alphabet is a :class:`~qlocus.records.Value` record, and the memo
+tables of its ring key on its root tuples: two alphabets built from the
+same roots of one ring share every entry.
 """
 from __future__ import annotations
 
@@ -31,10 +34,15 @@ from .records import Value
 
 
 class Alphabet(Value):
-    """An ordered set of Chern roots, possibly negated: the ring
-    ``variables``, then the integers ``values``."""
+    """The formal difference (roots of ``pos``) - (roots of ``neg``) in
+    ``ring``.  A root is (position, negated) for a ring variable and the
+    signed integer for a value.  No root is on both sides.
 
-    __slots__ = ("ring", "variables", "negated", "values")
+    The constructor builds the genuine alphabet (``neg`` empty) of the
+    ring ``variables``, then the integers ``values``, all negated when
+    ``negated`` is set."""
+
+    __slots__ = ("ring", "pos", "neg")
 
     def __init__(
         self, ring: Ring, variables: tuple[int, ...], negated: bool = False, values: tuple = ()
@@ -45,74 +53,35 @@ class Alphabet(Value):
             raise ValueError("alphabet variables must be distinct")
         if variables and (min(variables) < 0 or max(variables) >= ring.nvars):
             raise ValueError(f"alphabet variables must lie in 0..{ring.nvars - 1}")
-        self._set(ring=ring, variables=variables, negated=negated, values=values)
-
-    @property
-    def size(self) -> int:
-        return len(self.variables) + len(self.values)
+        pos = tuple((x, negated) for x in variables) + tuple(-c if negated else c for c in values)
+        self._set(ring=ring, pos=pos, neg=())
 
     def dual(self) -> "Alphabet":
-        return Alphabet(self.ring, self.variables, not self.negated, self.values)
+        return _alphabet(self.ring, _flipped(self.pos), _flipped(self.neg))
 
-    def roots(self) -> list[Poly]:
-        vs = [self.ring.variable(i) for i in self.variables] + [self.ring.const(c) for c in self.values]
-        return [-v for v in vs] if self.negated else vs
-
-
-class VirtualAlphabet(Value):
-    """The formal difference (roots of ``pos``) - (roots of ``neg``) in
-    ``ring``.  A root is (position, negated) for a ring variable and the
-    signed integer for a value.  Built from the alphabets of each side,
-    or by :func:`difference` and the methods below, always in lowest
-    terms: no root is on both sides."""
-
-    __slots__ = ("ring", "pos", "neg")
-
-    def __init__(self, pos: tuple[Alphabet, ...], neg: tuple[Alphabet, ...] = ()):
-        alphabets = pos + neg
-        if not alphabets:
-            raise ValueError("a virtual alphabet needs at least one alphabet")
-        ring = alphabets[0].ring
-        if any(a.ring is not ring for a in alphabets):
-            raise ValueError("the alphabets of a virtual alphabet must share one ring")
-        pos, neg = (
-            tuple((x, a.negated) for a in side for x in a.variables)
-            + tuple(-c if a.negated else c for a in side for c in a.values)
-            for side in (pos, neg)
-        )
-        self._set_struck(ring, pos, neg)
-
-    def _set_struck(self, ring: Ring, pos: tuple, neg: tuple) -> None:
-        """Set the fields to ``pos`` - ``neg`` with every root found on
-        both sides struck, as a multiset.  This is exact: the series is
-        prod (1 - b t) / prod (1 - a t), and a factor found on both sides
-        is 1."""
-        if pos and neg:  # a one-sided alphabet has nothing to strike
-            p, n = Counter(pos), Counter(neg)
-            pos, neg = tuple((p - n).elements()), tuple((n - p).elements())
-        self._set(ring=ring, pos=pos, neg=neg)
-
-    def dual(self) -> "VirtualAlphabet":
-        return _virtual(self.ring, _flipped(self.pos), _flipped(self.neg))
-
-    def minus_dual(self) -> "VirtualAlphabet":
+    def minus_dual(self) -> "Alphabet":
         """-V^∨, whose complete series is the elementary series of V."""
-        return _virtual(self.ring, _flipped(self.neg), _flipped(self.pos))
+        return _alphabet(self.ring, _flipped(self.neg), _flipped(self.pos))
 
-    def halves(self) -> tuple["VirtualAlphabet", "VirtualAlphabet"]:
+    def halves(self) -> tuple["Alphabet", "Alphabet"]:
         """P and -N, the one-sided alphabets of V = P - N."""
-        return _virtual(self.ring, self.pos, ()), _virtual(self.ring, (), self.neg)
+        return _alphabet(self.ring, self.pos, ()), _alphabet(self.ring, (), self.neg)
 
     def roots(self) -> tuple[list[Poly], list[Poly]]:
         """The roots of P and of N as polynomials."""
         return [_root(self.ring, r) for r in self.pos], [_root(self.ring, r) for r in self.neg]
 
 
-def _virtual(ring: Ring, pos: tuple, neg: tuple) -> VirtualAlphabet:
-    """The virtual alphabet ``pos`` - ``neg`` of flat signed roots, in
-    lowest terms."""
-    v = object.__new__(VirtualAlphabet)
-    v._set_struck(ring, pos, neg)
+def _alphabet(ring: Ring, pos: tuple, neg: tuple) -> Alphabet:
+    """The alphabet ``pos`` - ``neg`` of flat signed roots, with every
+    root found on both sides struck, as a multiset.  This is exact: the
+    series is prod (1 - b t) / prod (1 - a t), and a factor found on both
+    sides is 1."""
+    if pos and neg:  # a one-sided alphabet has nothing to strike
+        p, n = Counter(pos), Counter(neg)
+        pos, neg = tuple((p - n).elements()), tuple((n - p).elements())
+    v = object.__new__(Alphabet)
+    v._set(ring=ring, pos=pos, neg=neg)
     return v
 
 
@@ -127,22 +96,17 @@ def _flipped(roots: tuple) -> tuple:
     return tuple(-r if type(r) is int else (r[0], not r[1]) for r in roots)
 
 
-def _as_virtual(v) -> VirtualAlphabet:
-    return VirtualAlphabet((v,)) if isinstance(v, Alphabet) else v
-
-
-def difference(a, b) -> VirtualAlphabet:
-    """a - b, for alphabets or virtual alphabets on either side, in lowest
-    terms: (P - N) - (P' - N') = (P + N') - (N + P'), with every root
-    found on both sides struck.  A difference that cancels completely has
-    no root on either side: its s_0 is 1 and every other S-polynomial 0."""
-    a, b = _as_virtual(a), _as_virtual(b)
+def difference(a: Alphabet, b: Alphabet) -> Alphabet:
+    """a - b in lowest terms: (P - N) - (P' - N') = (P + N') - (N + P'),
+    with every root found on both sides struck.  A difference that
+    cancels completely has no root on either side: its s_0 is 1 and every
+    other S-polynomial 0."""
     if a.ring is not b.ring:  # before any root is matched
-        raise ValueError("the alphabets of a virtual alphabet must share one ring")
-    return _virtual(a.ring, a.pos + b.neg, a.neg + b.pos)
+        raise ValueError("the alphabets of a difference must share one ring")
+    return _alphabet(a.ring, a.pos + b.neg, a.neg + b.pos)
 
 
-def _complete_series(v: VirtualAlphabet, upto: int, grown=None) -> tuple[list[Poly], list[Poly]]:
+def _complete_series(v: Alphabet, upto: int, grown=None) -> tuple[list[Poly], list[Poly]]:
     """Coefficients of the series prod 1/(1-a t) * prod (1-b t) up to t^upto.
 
     The series is built one degree at a time through the factors, linear
@@ -168,20 +132,20 @@ def _complete_series(v: VirtualAlphabet, upto: int, grown=None) -> tuple[list[Po
     return series, column
 
 
-def complete_series(v, upto: int) -> list[Poly]:
-    """s_0, s_1, ... of an alphabet or virtual alphabet, at least through
-    s_upto: the memoized series, extended when it is too short."""
-    v = _as_virtual(v)
-    grown = v.ring.memo.get(("h", v))
+def complete_series(v: Alphabet, upto: int) -> list[Poly]:
+    """s_0, s_1, ... of an alphabet, at least through s_upto: the
+    memoized series, extended when it is too short."""
+    key = ("h", v.pos, v.neg)
+    grown = v.ring.memo.get(key)
     if grown is None or len(grown[0]) <= upto:
-        grown = v.ring.memo["h", v] = _complete_series(v, upto, grown)
+        grown = v.ring.memo[key] = _complete_series(v, upto, grown)
     return grown[0]
 
 
-def complete_sym(i: int, v) -> Poly:
-    """s_i of an alphabet or virtual alphabet: the degree-i coefficient of
-    the product of geometric series of the positive roots times the
-    linear factors of the negative roots."""
+def complete_sym(i: int, v: Alphabet) -> Poly:
+    """s_i of an alphabet: the degree-i coefficient of the product of
+    geometric series of the positive roots times the linear factors of
+    the negative roots."""
     if i < 0:
         return v.ring.zero
     return complete_series(v, i)[i]
@@ -191,21 +155,29 @@ def q_sym(i: int, a: Alphabet) -> Poly:
     """Degree-i coefficient of prod (1+a t)/(1-a t), the one-row
     Q-function: the complete series of A - A^∨.
 
-    Only genuine alphabets are valid here: the series of a virtual
+    Only genuine alphabets are valid here: the series of a two-sided
     difference is not a Q-function and is rejected.
     """
-    if not isinstance(a, Alphabet):
+    if a.neg:
         raise TypeError("Q-functions are defined for genuine alphabets only")
     memo = a.ring.memo
-    v = memo.get(("q", a))
+    key = ("q", a.pos)
+    v = memo.get(key)
     if v is None:  # A - A^∨ is built once per alphabet
-        v = memo[("q", a)] = difference(a, a.dual())
+        v = memo[key] = difference(a, a.dual())
     return complete_sym(i, v)
 
 
+def _genuine_roots(a: Alphabet) -> list[Poly]:
+    if a.neg:
+        raise TypeError("root-sum products are defined for genuine alphabets only")
+    return a.roots()[0]
+
+
 def pair_sum_product(a: Alphabet, strict: bool) -> Poly:
-    """Product of (a_i + a_j) over i < j (strict) or i <= j."""
-    roots = a.roots()
+    """Product of (a_i + a_j) over the roots of a genuine alphabet, i < j
+    (strict) or i <= j."""
+    roots = _genuine_roots(a)
     return product(
         a.ring,
         (
@@ -217,8 +189,9 @@ def pair_sum_product(a: Alphabet, strict: bool) -> Poly:
 
 
 def tensor_sum_product(a: Alphabet, b: Alphabet) -> Poly:
-    """Product of (a_i + b_j) over all root pairs."""
-    return product(a.ring, (x + y for x in a.roots() for y in b.roots()))
+    """Product of (a_i + b_j) over all root pairs of two genuine
+    alphabets."""
+    return product(a.ring, (x + y for x in _genuine_roots(a) for y in _genuine_roots(b)))
 
 
 class ModelContext:
@@ -250,7 +223,7 @@ class ModelContext:
 
     def e_minus_f(self):
         """The alphabet of E - F: the kernel block under a surjection,
-        a virtual difference otherwise."""
+        a two-sided difference otherwise."""
         if self.mode == "surjection":
             return self.K
         return difference(self.E, self.F)

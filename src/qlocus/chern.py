@@ -54,8 +54,8 @@ def skew_schur_sum(T: Partition, a: Alphabet, d) -> Poly:
 
     By the coproduct s_T(A + B) = sum over J of s_{T/J}(A) s_J(B), and
     s_J(-D^∨) = s_{J̃}(D) (Macdonald, *Symmetric Functions and Hall
-    Polynomials*, I.3 and I.5).  ``d`` may be an alphabet or a virtual
-    one; its dual flips every sign, so a - (P - N)^∨ = (a + N^∨) - P^∨.
+    Polynomials*, I.3 and I.5).  ``d`` may be genuine or two-sided; its
+    dual flips every sign, so a - (P - N)^∨ = (a + N^∨) - P^∨.
     Writing a - d^∨ in lowest terms as X - Y,
     :func:`~qlocus.schur.schur_skew` factors s_T when T_{|X|} >= |Y|, as
     for the surjection-model shapes of :func:`ctop_vee_skew` and
@@ -68,12 +68,12 @@ def skew_schur_sum(T: Partition, a: Alphabet, d) -> Poly:
 
 def ctop_sym2(a: Alphabet) -> Poly:
     """c_top(S²A) = Q_{rho_e}(A) = 2^e s_{rho_e}(A)."""
-    return schur_q(staircase(a.size), a)
+    return schur_q(staircase(len(a.pos)), a)
 
 
 def ctop_wedge2(a: Alphabet) -> Poly:
     """c_top(∧²A) = P_{rho_{e-1}}(A) = s_{rho_{e-1}}(A)."""
-    return schur_p(staircase(a.size - 1), a)
+    return schur_p(staircase(len(a.pos) - 1), a)
 
 
 def _require_split(ctx: ModelContext):

@@ -75,8 +75,8 @@ class Ring:
         for name, size in blocks:
             if name in self.blocks:
                 raise ValueError(f"duplicate block {name!r}")
-            if size < 0:
-                raise ValueError("block size must be nonnegative")
+            if type(size) is not int or size < 0:
+                raise ValueError(f"block size must be a nonnegative int, got {size!r}")
             self.blocks[name] = tuple(range(pos, pos + size))
             if size == 1:
                 self.names.append(name)
@@ -88,15 +88,19 @@ class Ring:
         self.zero = Poly(self, {})
         self.one = Poly(self, {0: 1})
         self._vcache = [Poly(self, {1 << (SHIFT * i): 1}) for i in range(pos)]
-        # alphabets/schur memo, keyed on an alphabet's value: "h" complete
-        # series, "q" the difference A - A^∨, "Q" staircase-factored and
-        # "Pf" Pfaffian Q-polynomials
+        # alphabets/schur memo, keyed on an alphabet's root tuples (the
+        # memo is the ring's own, so no key names the ring): ("h", pos,
+        # neg) complete series, ("q", pos) the difference A - A^∨, ("Q",
+        # pos, parts) staircase-factored and ("Pf", pos, parts) Pfaffian
+        # Q-polynomials
         self.memo: dict = {}
 
     def block(self, name: str) -> tuple[int, ...]:
         return self.blocks[name]
 
     def variable(self, i: int) -> "Poly":
+        if type(i) is not int or not 0 <= i < self.nvars:
+            raise ValueError(f"variable index must be an int in 0..{self.nvars - 1}, got {i!r}")
         return self._vcache[i]
 
     def const(self, c) -> "Poly":

@@ -1,6 +1,6 @@
 """Schur S-, Q- and P-polynomials of alphabets, and expansions into them.
 
-S-polynomials of (virtual) alphabets, skew or not, are all built by
+S-polynomials of alphabets, skew or not, are all built by
 :func:`schur_skew` (``schur_s`` is the skew shape over the empty
 partition), with no memo of their own.  A straight shape on a difference
 P - N is read off the factorization of hook Schur functions, a product
@@ -32,14 +32,7 @@ read off the terms of the input by straightening (see :func:`_straighten`).
 """
 from __future__ import annotations
 
-from .alphabets import (
-    Alphabet,
-    VirtualAlphabet,
-    _as_virtual,
-    complete_series,
-    pair_sum_product,
-    q_sym,
-)
+from .alphabets import Alphabet, complete_series, difference, pair_sum_product, q_sym
 from .partitions import Partition, subpartitions
 from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric, product
 
@@ -73,13 +66,13 @@ def determinant(ring: Ring, rows: list[list[Poly]]) -> Poly:
     return dp.get((1 << k) - 1, ring.zero)
 
 
-def schur_s(I: Partition, v) -> Poly:
-    """S-polynomial s_I of an alphabet or virtual alphabet: the skew shape
-    I over the empty partition."""
+def schur_s(I: Partition, v: Alphabet) -> Poly:
+    """S-polynomial s_I of an alphabet: the skew shape I over the empty
+    partition."""
     return schur_skew(I, Partition(), v)
 
 
-def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
+def schur_skew(lam: Partition, mu: Partition, v: Alphabet) -> Poly:
     """Skew S-polynomial s_{lam/mu}(v); requires mu ⊂ lam.
 
     A straight shape on P - N first tries the hook factorization
@@ -92,12 +85,11 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
     conjugate shape over -V^∨ for positive roots, the shape as it stands
     for negative ones.  A two-sided alphabet takes the side with fewer
     rows.  Both alphabets come from :mod:`qlocus.alphabets` in lowest
-    terms (-V^∨ is ``VirtualAlphabet.minus_dual``), so no series is
-    built over a root found on both sides.
+    terms (-V^∨ is ``Alphabet.minus_dual``), so no series is built over
+    a root found on both sides.
     """
     if not lam.contains(mu):
         raise ValueError(f"{mu} is not contained in {lam}")
-    v = _as_virtual(v)
     got = None if mu.parts else _hook_factor(lam, v)
     if got is not None:
         return got
@@ -109,7 +101,7 @@ def schur_skew(lam: Partition, mu: Partition, v) -> Poly:
     return jacobi_trudi(lam, mu, v)
 
 
-def jacobi_trudi(lam: Partition, mu: Partition, v) -> Poly:
+def jacobi_trudi(lam: Partition, mu: Partition, v: Alphabet) -> Poly:
     """det [ s_{lam_p - mu_q - p + q}(v) ], built as it stands: no memo, no
     factorization, no change of side; requires mu ⊂ lam, as the matrix
     has only length(lam) rows.  :func:`schur_skew` calls it where the
@@ -130,7 +122,7 @@ def jacobi_trudi(lam: Partition, mu: Partition, v) -> Poly:
     return determinant(ring, rows)
 
 
-def _hook_factor(lam: Partition, v: VirtualAlphabet) -> Poly | None:
+def _hook_factor(lam: Partition, v: Alphabet) -> Poly | None:
     """s_lam(P - N) by the factorization of hook Schur functions
     (Berele-Regev, *Adv. Math.* 64, 1987; Macdonald I.3 ex. 23), with
     a = |P| and b = |N|:
@@ -141,7 +133,7 @@ def _hook_factor(lam: Partition, v: VirtualAlphabet) -> Poly | None:
       and beta = (lam_{a+1}, lam_{a+2}, ...).
 
     The sizes and the product are read off the flat roots of v, and the
-    halves P and -N are ``VirtualAlphabet.halves``.
+    halves P and -N are ``Alphabet.halves``.
 
     Returns None where neither applies (lam_a < b, or a one-sided
     alphabet), which leaves the determinant.
@@ -174,17 +166,17 @@ def schur_q(I: Partition, a: Alphabet) -> Poly:
     a_lam / a_delta.  Shorter partitions are the Pfaffian
     (:func:`pfaffian_q`).
     """
-    if not isinstance(a, Alphabet):
+    if a.neg:
         raise TypeError("Q-polynomials are defined for genuine alphabets only")
     if not I.is_strict():
         raise ValueError(f"Q-polynomials are indexed by strict partitions, got {I}")
-    n, l = a.size, I.length
+    n, l = len(a.pos), I.length
     if l < n - 1:
         return pfaffian_q(I, a)
     ring = a.ring
     if l > n:
         return ring.zero
-    key = ("Q", a, I.parts)
+    key = ("Q", a.pos, I.parts)
     got = ring.memo.get(key)
     if got is None:
         shape = Partition(tuple(p - (n - 1 - i) for i, p in enumerate(I.padded(n))))
@@ -199,11 +191,11 @@ def pfaffian_q(I: Partition, a: Alphabet) -> Poly:
     staircase factorization: :func:`schur_q` calls it for the partitions
     that are too short to factor, and tests and ``verify`` call it as the
     oracle of the factorization."""
-    if not isinstance(a, Alphabet):
+    if a.neg:
         raise TypeError("Q-polynomials are defined for genuine alphabets only")
     parts = I.parts + (0,) * (I.length % 2)
     ring = a.ring
-    key = ("Pf", a, parts)
+    key = ("Pf", a.pos, parts)
     got = ring.memo.get(key)
     if got is not None:
         return got
@@ -275,38 +267,42 @@ def _straighten(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
     lam + delta and sign is the parity of that sort; a gamma with a
     repeated entry adds nothing.  No S-polynomial is built.  A dual
     alphabet contributes (-1)^{|lam|}, since s_lam(-a) = (-1)^{|lam|} s_lam(a).
+    So each alphabet must be genuine, of variables only, all of one sign.
 
     Only symmetric input has such an expansion, so symmetry in each
     alphabet is checked first; on other input the rule would silently
     return a wrong answer.
     """
     ring = P.ring
-    if not all(isinstance(a, Alphabet) for a in alphabets):
+    if any(a.neg for a in alphabets):
         raise TypeError("only genuine alphabets have an S-basis expansion")
     if any(a.ring is not ring for a in alphabets):
         raise ValueError("alphabets must belong to the ring of the polynomial")
-    if any(a.values for a in alphabets):
+    if any(type(r) is int for a in alphabets for r in a.pos):
         raise ValueError("only alphabets of variables have an S-basis expansion")
-    inside = [v for a in alphabets for v in a.variables]
+    signs = [{s for _, s in a.pos} for a in alphabets]
+    if any(len(s) > 1 for s in signs):
+        raise ValueError("only alphabets of roots of one sign have an S-basis expansion")
+    inside = [v for a in alphabets for v, _ in a.pos]
     if len(set(inside)) < len(inside):
         raise ValueError("alphabets overlap")
     outside = ring.fields - sum(MAX_EXP << (SHIFT * v) for v in inside)
     if any(k & outside for k in P.terms):
         raise ValueError("polynomial involves variables outside the alphabets")
     for a in alphabets:
-        if not is_symmetric(P, a.variables):
+        if not is_symmetric(P, [v for v, _ in a.pos]):
             raise ValueError("polynomial is not symmetric in the alphabet")
-    layout = [[(SHIFT * v, a.size - 1 - i) for i, v in enumerate(a.variables)] for a in alphabets]
+    layout = [[(SHIFT * v, len(a.pos) - 1 - i) for i, (v, _) in enumerate(a.pos)] for a in alphabets]
     out: dict[tuple[tuple[int, ...], ...], int] = {}
     for key, c in P.terms.items():
         shapes = []
-        for a, places in zip(alphabets, layout):
+        for negated, places in zip(map(any, signs), layout):
             gamma = [((key >> shift) & MAX_EXP) + d for shift, d in places]
             if len(set(gamma)) < len(gamma):
                 break
             lam = tuple(g - d for g, (_, d) in zip(sorted(gamma, reverse=True), places))
             inversions = sum(x < y for i, x in enumerate(gamma) for y in gamma[i + 1 :])
-            if (inversions + (a.negated and sum(lam))) % 2:
+            if (inversions + (negated and sum(lam))) % 2:
                 c = -c
             shapes.append(lam)
         else:
@@ -353,7 +349,7 @@ def schur_difference_split(L: Partition, b: Alphabet, max_a_length: int):
     Partitions mu longer than ``max_a_length`` are dropped, which is the
     vanishing of s_mu on an alphabet of that size.
     """
-    minus_b = VirtualAlphabet((), (b,))
+    minus_b = difference(Alphabet(b.ring, ()), b)
     out = []
     for mu in subpartitions(L):
         if mu.length > max_a_length:

@@ -61,10 +61,10 @@ def suite_schur(max_n: int = 4) -> list[CaseResult]:
     for n in range(1, max_n):
         for m in range(1, max_n):
             ring = Ring([("a", n), ("b", m)])
-            A = Alphabet(ring, ring.block("a"))
-            B = Alphabet(ring, ring.block("b"))
-            lhs = jacobi_trudi(rectangle(n, m), Partition(), difference(A, B))
-            rhs = product(ring, (x - y for x in A.roots() for y in B.roots()))
+            d = difference(Alphabet(ring, ring.block("a")), Alphabet(ring, ring.block("b")))
+            xs, ys = d.roots()
+            lhs = jacobi_trudi(rectangle(n, m), Partition(), d)
+            rhs = product(ring, (x - y for x in xs for y in ys))
             out.append(CaseResult("schur.resultant", f"n={n} m={m}", lhs == rhs))
     # Q/P staircase products, Q on both the factorization and the Pfaffian
     for n in range(1, max_n + 1):
@@ -111,7 +111,7 @@ def suite_schur(max_n: int = 4) -> list[CaseResult]:
 def ctop_tensor(a: Alphabet, b: Alphabet) -> Poly:
     """c_top(A ⊗ B) = sum over I in the e x f box of s_I(A) s_{CĨ}(B)
     (Fulton-Pragacz), the staircase sum of "s" with no staircase."""
-    return staircase_schur_sum("s", 0, a.size, b.size, a, b)
+    return staircase_schur_sum("s", 0, len(a.pos), len(b.pos), a, b)
 
 
 def suite_chern(max_f: int = 3, max_n: int = 2) -> list[CaseResult]:

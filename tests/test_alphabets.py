@@ -8,27 +8,39 @@ from hypothesis import given, strategies as st
 from qlocus import alphabets, schur
 from qlocus.alphabets import (
     Alphabet,
-    VirtualAlphabet,
     complete_series,
     complete_sym,
     difference,
     make_model,
     pair_sum_product,
     q_sym,
+    tensor_sum_product,
 )
 from qlocus.chern import ctop_sym2, ctop_wedge2
 from qlocus.partitions import Partition
 from qlocus.polyring import Ring, is_symmetric, product
-from qlocus.schur import schur_q, schur_s
+from qlocus.schur import pfaffian_q, schur_q, schur_s
+
+
+def alphabet_of(ring, pos=(), neg=()):
+    """(roots of the alphabets ``pos``) - (roots of those of ``neg``),
+    built by differences alone: each alphabet of ``pos`` is taken away
+    as its negative, the empty alphabet less it."""
+    empty = total = Alphabet(ring, ())
+    for a in pos:
+        total = difference(total, difference(empty, a))
+    for b in neg:
+        total = difference(total, b)
+    return total
 
 
 def test_alphabet_basics():
     ring = Ring([("a", 3)])
     A = Alphabet(ring, ring.block("a"))
-    assert A.size == 3
-    assert [str(r) for r in A.roots()] == ["a1", "a2", "a3"]
-    assert [str(r) for r in A.dual().roots()] == ["-a1", "-a2", "-a3"]
-    assert A.dual().dual().roots()[0] == A.roots()[0]
+    assert A.pos == ((0, False), (1, False), (2, False)) and A.neg == ()
+    assert [str(r) for r in A.roots()[0]] == ["a1", "a2", "a3"] and A.roots()[1] == []
+    assert [str(r) for r in A.dual().roots()[0]] == ["-a1", "-a2", "-a3"]
+    assert A.dual().dual() == A and A.dual().dual().roots() == A.roots()
     with pytest.raises(ValueError):
         Alphabet(ring, (0, 0))
 
@@ -36,10 +48,10 @@ def test_alphabet_basics():
 def test_value_alphabet_basics():
     ring = Ring([("x", 1)])
     A = Alphabet(ring, (0,), values=(2, -1))
-    assert A.size == 3
-    assert [str(r) for r in A.roots()] == ["x", "2", "-1"]
-    assert [str(r) for r in A.dual().roots()] == ["-x", "-2", "1"]
-    assert A.dual().values == A.values
+    assert A.pos == ((0, False), 2, -1)
+    assert [str(r) for r in A.roots()[0]] == ["x", "2", "-1"]
+    assert [str(r) for r in A.dual().roots()[0]] == ["-x", "-2", "1"]
+    assert A.dual() == Alphabet(ring, (0,), True, (2, -1))
 
 
 @pytest.mark.parametrize("values", [(0.1, 0.2), (2.0,), (1, Fraction(1, 2))])
@@ -59,9 +71,12 @@ def test_alphabet_refuses_non_integer_variables(variables):
 @pytest.mark.parametrize("other", ["values", "dual"])
 def test_value_alphabets_never_share_a_memo_entry(other):
     # odd degrees throughout, so the dual's values differ in sign
+    def build(ring):
+        A = Alphabet(ring, (), values=(1, 2, 2))
+        return A, Alphabet(ring, (), values=(1, 2, 3)) if other == "values" else A.dual()
+
     ring = Ring([])
-    A = Alphabet(ring, (), values=(1, 2, 2))
-    B = Alphabet(ring, (), values=(1, 2, 3)) if other == "values" else A.dual()
+    A, B = build(ring)
 
     def values(X):
         got = (complete_sym(3, X), schur_s(Partition((2, 1)), X), schur_q(Partition((3, 2)), X))
@@ -71,8 +86,7 @@ def test_value_alphabets_never_share_a_memo_entry(other):
     before = set(ring.memo)
     on_b = values(B)
     assert {key[0] for key in set(ring.memo) - before} == {"h", "Q"}
-    fresh = Ring([])
-    assert on_b == values(Alphabet(fresh, (), B.negated, B.values))
+    assert on_b == values(build(Ring([]))[1])
     assert on_b != on_a
 
 
@@ -94,12 +108,34 @@ def test_equal_alphabets_built_separately_share_one_memo_entry():
     assert all(x is y for x, y in zip(first, again))
 
 
+@given(st.data())
+def test_a_struck_difference_is_the_alphabet_of_the_roots_it_leaves(data):
+    # A + X + ... - (X + ...) strikes every root of the X's, as a
+    # multiset: what is left is A itself, equal, hashed alike and reading
+    # the memo entries of A.  A's roots are distinct, so striking keeps
+    # their order.
+    ring = Ring([("x", 3)])
+    A = Alphabet(ring, *data.draw(_root_args(3, distinct=True)))
+    X = tuple(data.draw(st.lists(_root_alphabets(ring), min_size=1, max_size=3)))
+    v = difference(alphabet_of(ring, (A, *X)), alphabet_of(ring, X))
+    assert v is not A and v == A and hash(v) == hash(A)
+
+    def entries(a):
+        return complete_series(a, 4), schur_q(Partition((3, 1)), a), pfaffian_q(Partition((2, 1)), a), q_sym(3, a)
+
+    first = entries(A)
+    keys = set(ring.memo)
+    assert all(x is y for x, y in zip(first, entries(v)))
+    assert set(ring.memo) == keys
+
+
 @pytest.mark.parametrize("values", [(), (3,), (2, -1), (1, 0, 2)])
 def test_size_counts_values(values):
-    # ctop_sym2 and ctop_wedge2 take their staircase from ``size``
+    # ctop_sym2 and ctop_wedge2 take their staircase from the number of
+    # roots, values included
     ring = Ring([("x", 1)])
     A = Alphabet(ring, (0,), values=values)
-    assert A.size == 1 + len(values)
+    assert len(A.pos) == 1 + len(values)
     assert ctop_sym2(A) == pair_sum_product(A, strict=False)
     assert ctop_wedge2(A) == pair_sum_product(A, strict=True)
 
@@ -119,8 +155,7 @@ def test_complete_sym_of_difference():
     ring = Ring([("x", 1), ("d", 1)])
     x, d = ring.variable(0), ring.variable(1)
     X = Alphabet(ring, ring.block("x"))
-    D = Alphabet(ring, ring.block("d"))
-    v = VirtualAlphabet((X,), (X.dual(), D.dual()))
+    v = difference(X, Alphabet(ring, ring.block("x") + ring.block("d"), negated=True))
     assert complete_sym(1, v) == x * 2 + d
     assert complete_sym(2, v) == x * x * 2 + x * d * 2
 
@@ -135,26 +170,31 @@ def test_complete_sym_self_difference_vanishes():
 
 
 @st.composite
-def _root_alphabets(draw, ring):
-    """An alphabet of ``ring``: distinct variables, values with repeats
-    and zeros, and either sign."""
-    variables = draw(st.lists(st.sampled_from(range(ring.nvars)), unique=True, max_size=ring.nvars))
-    values = draw(st.lists(st.integers(-2, 2), max_size=3))
-    return Alphabet(ring, tuple(variables), draw(st.booleans()), tuple(values))
+def _root_args(draw, nvars, distinct=False):
+    """(variables, negated, values) of an alphabet on ``nvars`` variables:
+    distinct variables, values with repeats and zeros unless
+    ``distinct``, and either sign."""
+    variables = draw(st.lists(st.sampled_from(range(nvars)), unique=True, max_size=nvars))
+    values = draw(st.lists(st.integers(-2, 2), unique=distinct, max_size=3))
+    return tuple(variables), draw(st.booleans()), tuple(values)
+
+
+def _root_alphabets(ring):
+    return _root_args(ring.nvars).map(lambda args: Alphabet(ring, *args))
 
 
 def _series_of_sides(ring, pos, neg, upto):
     """prod 1/(1-a t) over the roots of the alphabets ``pos`` times
     prod (1-b t) over those of ``neg``, to t^upto: the one-sided series
     of each side, built factor by factor from ``Alphabet.roots`` and
-    multiplied as Poly series, with no virtual alphabet and no root
+    multiplied as Poly series, with no difference built and no root
     struck."""
     h = [ring.one] + [ring.zero] * upto
-    for a in (r for alph in pos for r in alph.roots()):
+    for a in (r for alph in pos for r in alph.roots()[0]):
         for j in range(1, upto + 1):
             h[j] = h[j] + a * h[j - 1]
     e = [ring.one] + [ring.zero] * upto
-    for b in (r for alph in neg for r in alph.roots()):
+    for b in (r for alph in neg for r in alph.roots()[0]):
         for j in range(upto, 0, -1):
             e[j] = e[j] - b * e[j - 1]
     return [sum((h[j] * e[i - j] for j in range(i + 1)), ring.zero) for i in range(upto + 1)]
@@ -167,10 +207,11 @@ def test_difference_in_lowest_terms_keeps_the_series(data):
     ring = Ring([("x", 3)])
     A, X, B = (data.draw(_root_alphabets(ring)) for _ in range(3))
     for got, pos, neg in [
-        (difference(VirtualAlphabet((A, X)), X), (A, X), (X,)),
-        (difference(VirtualAlphabet((A, X)), X), (A,), ()),
-        (difference(VirtualAlphabet((A, X)), VirtualAlphabet((X, B))), (A, X), (X, B)),
-        (VirtualAlphabet((A, X), (X, B)), (A, X), (X, B)),
+        (difference(alphabet_of(ring, (A, X)), X), (A, X), (X,)),
+        (difference(alphabet_of(ring, (A, X)), X), (A,), ()),
+        (difference(alphabet_of(ring, (A, X)), alphabet_of(ring, (X, B))), (A, X), (X, B)),
+        (alphabet_of(ring, (A, X), (X, B)), (A, X), (X, B)),
+        (difference(A, difference(X, alphabet_of(ring, (X, B)))), (A, B), ()),
     ]:
         assert complete_series(got, 4)[:5] == _series_of_sides(ring, pos, neg, 4)
 
@@ -183,8 +224,8 @@ def test_no_virtual_alphabet_has_a_root_on_both_sides(data):
     pos = tuple(data.draw(st.lists(_root_alphabets(ring), min_size=1, max_size=3)))
     neg = tuple(data.draw(st.lists(_root_alphabets(ring), max_size=3)))
     A = data.draw(_root_alphabets(ring))
-    v = VirtualAlphabet(pos, neg)
-    built = [v, VirtualAlphabet(neg + pos, pos), difference(v, A), difference(A, v), difference(v, v.dual())]
+    v = alphabet_of(ring, pos, neg)
+    built = [v, alphabet_of(ring, neg + pos, pos), difference(v, A), difference(A, v), difference(v, v.dual())]
     built += [w for u in list(built) for w in (u.dual(), u.minus_dual(), *u.halves())]
     seen = []  # the alphabet of every determinant and S-polynomial schur_s builds
 
@@ -201,7 +242,7 @@ def test_no_virtual_alphabet_has_a_root_on_both_sides(data):
         for lam in [(1,), (2, 1), (3, 3), (1, 1, 1, 1)]:
             schur_s(Partition(lam), v)
     assert seen
-    built += [w for w in seen if isinstance(w, VirtualAlphabet)]
+    built += seen
     assert not any(set(w.pos) & set(w.neg) for w in built)
 
 
@@ -209,7 +250,7 @@ def test_no_virtual_alphabet_has_a_root_on_both_sides(data):
 def test_a_fully_cancelled_difference_is_the_empty_alphabet(data):
     ring = Ring([("x", 3)])
     A, X = (data.draw(_root_alphabets(ring)) for _ in range(2))
-    v = difference(VirtualAlphabet((A, X)), VirtualAlphabet((X, A)))
+    v = difference(alphabet_of(ring, (A, X)), alphabet_of(ring, (X, A)))
     assert v.pos == v.neg == () and v.ring is ring
     assert schur_s(Partition(), v) == 1
     for lam in [(1,), (2,), (1, 1), (2, 1), (3, 1, 1)]:
@@ -220,8 +261,9 @@ def test_a_fully_cancelled_difference_is_the_empty_alphabet(data):
 def test_difference_of_two_rings_raises_before_matching_roots(data):
     # the same positions and values on two rings must not cancel
     rings = Ring([("x", 3)]), Ring([("x", 3)])
-    A = data.draw(_root_alphabets(rings[0]))
-    B = Alphabet(rings[1], A.variables, A.negated, A.values)
+    args = data.draw(_root_args(3))
+    A, B = (Alphabet(ring, *args) for ring in rings)
+    assert A.pos == B.pos
     with pytest.raises(ValueError, match="share one ring"):
         difference(A, B)
 
@@ -260,7 +302,7 @@ def test_complete_sym_extends_the_memoized_series(monkeypatch):
     got = {i: complete_sym(i, v) for i in (9, 10, 11, 4, 11)}
     assert calls == [(0, 9), (10, 10), (11, 11)]
     for i, P in got.items():
-        assert P == literal_series_coefficient(ring, i, A.roots(), B.dual().roots())
+        assert P == literal_series_coefficient(ring, i, A.roots()[0], B.dual().roots()[0])
 
 
 def test_complete_sym_builds_the_series_only_to_the_degree_asked(monkeypatch):
@@ -278,7 +320,7 @@ def test_complete_sym_builds_the_series_only_to_the_degree_asked(monkeypatch):
     ring = Ring([("a", 3), ("b", 2)])
     A = Alphabet(ring, ring.block("a"))
     B = Alphabet(ring, ring.block("b"))
-    assert complete_sym(2, difference(A, B)) == literal_series_coefficient(ring, 2, A.roots(), B.roots())
+    assert complete_sym(2, difference(A, B)) == literal_series_coefficient(ring, 2, A.roots()[0], B.roots()[0])
     assert calls == [2]
 
 
@@ -308,7 +350,7 @@ def test_extended_series_matches_the_literal_product(p, q, dual, m, extra):
     series, _ = alphabets._complete_series(v, m + extra, alphabets._complete_series(v, m))
     assert len(series) == m + extra + 1
     for i, P in enumerate(series):
-        assert P == literal_series_coefficient(ring, i, A.roots(), B.roots())
+        assert P == literal_series_coefficient(ring, i, A.roots()[0], B.roots()[0])
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=5))
@@ -340,7 +382,7 @@ def test_q_sym_known_series(n, i):
     # q_i = sum_j e_j h_{i-j}
     ring = Ring([("a", n)])
     A = Alphabet(ring, ring.block("a"))
-    roots = A.roots()
+    roots, _ = A.roots()
     # elementary symmetric functions by direct expansion of prod (1 + a t)
     e = [ring.one] + [ring.zero] * i
     for a in roots:
@@ -376,6 +418,24 @@ def test_q_sym_rejects_virtual_input():
         q_sym(2, difference(A, B))
 
 
+def test_root_sum_products_refuse_a_negative_side():
+    # they read the roots of a genuine alphabet, and would otherwise drop
+    # the negative side without a word; (A + B) - B is A
+    ring = Ring([("a", 2), ("b", 2)])
+    A = Alphabet(ring, ring.block("a"))
+    B = Alphabet(ring, ring.block("b"))
+    for V in (difference(A, B), alphabet_of(ring, (), (A,))):
+        with pytest.raises(TypeError, match="genuine alphabets only"):
+            pair_sum_product(V, strict=True)
+        with pytest.raises(TypeError, match="genuine alphabets only"):
+            tensor_sum_product(A, V)
+        with pytest.raises(TypeError, match="genuine alphabets only"):
+            tensor_sum_product(V, A)
+    v = difference(Alphabet(ring, ring.block("a") + ring.block("b")), B)
+    assert pair_sum_product(v, strict=False) == pair_sum_product(A, strict=False)
+    assert tensor_sum_product(v, B) == tensor_sum_product(A, B)
+
+
 @pytest.mark.parametrize("variables", [(1, -1), (0, 5), (-1,), (2,)])
 def test_alphabet_rejects_variables_outside_the_ring(variables):
     # (1, -1) named x2 twice through negative indexing, so complete_sym(2, .)
@@ -384,21 +444,14 @@ def test_alphabet_rejects_variables_outside_the_ring(variables):
         Alphabet(Ring([("x", 2)]), variables)
 
 
-def test_virtual_alphabet_needs_an_alphabet():
-    with pytest.raises(ValueError, match="at least one alphabet"):
-        VirtualAlphabet((), ())
-
-
 def test_virtual_alphabet_rejects_alphabets_of_two_rings():
     # the series would multiply roots of one ring by roots of the other
     # and come out wrong; complete_sym(2, A - B) read 0 here
     A = Alphabet(Ring([("a", 1)]), (0,))
     B = Alphabet(Ring([("b", 1)]), (0,))
-    for pos, neg in [((A,), (B,)), ((A, B), ()), ((), (A, B))]:
+    for a, b in [(A, B), (B, A), (A, alphabet_of(B.ring, (), (B,)))]:
         with pytest.raises(ValueError, match="share one ring"):
-            VirtualAlphabet(pos, neg)
-    with pytest.raises(ValueError, match="share one ring"):
-        difference(A, B)
+            difference(a, b)
 
 
 def test_model_context_surjection():
@@ -406,14 +459,14 @@ def test_model_context_surjection():
     assert ctx.n == 2
     assert ctx.ring.names == ["f1", "f2", "f3", "k1", "k2"]
     assert ctx.e_minus_f() is ctx.K
-    assert ctx.E.variables == ctx.F.variables + ctx.K.variables
+    assert ctx.E.pos == ctx.F.pos + ctx.K.pos
 
 
 def test_model_context_independent():
     ctx = make_model("independent", 4, 2)
     assert ctx.K is None
     v = ctx.e_minus_f()
-    assert isinstance(v, VirtualAlphabet)
+    assert (v.pos, v.neg) == (ctx.E.pos, ctx.F.pos)
 
 
 def test_model_context_validation():

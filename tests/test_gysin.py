@@ -317,7 +317,8 @@ def test_pushforward_instance_parts():
     inst = PushforwardInstance(_ring(4), 1)
     assert (inst.e, inst.q) == (4, 1)
     assert inst.setup == GrassmannSetup((0, 1, 2, 3), 1)
-    assert inst.quotient.variables == (0,) and inst.total.variables == (0, 1, 2, 3)
+    ring = inst.total.ring
+    assert inst.quotient == Alphabet(ring, (0,)) and inst.total == Alphabet(ring, (0, 1, 2, 3))
     a = [inst.total.ring.variable(i) for i in range(4)]
     assert inst.ctop_rq == (a[1] + a[0]) * (a[2] + a[0]) * (a[3] + a[0])
 

@@ -5,8 +5,11 @@ every check that compares two routes and returns a verdict lives in
 ``verify``, which only the CLI and the package root import: the layers
 keep their production routes, and the cross-checks stay out of them.  A
 public function or class of a route module that nothing but ``verify``
-reads is such a check, and lives in ``verify`` too."""
+reads is such a check, and lives in ``verify`` too.  Every layer the
+benchmark's tracer wraps by name is still where the tracer looks."""
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qlocus"
@@ -84,3 +87,24 @@ def test_route_modules_define_only_what_production_reads():
         and node.name not in read
     }
     assert unread == PINNED
+
+
+def test_every_layer_the_benchmark_traces_resolves():
+    # perfbench/traced_cli.py wraps each (module, attribute path) of its
+    # TARGETS by name, defined on its owner itself; a layer that is
+    # deleted or moved would break the traced benchmark run, so it fails
+    # here.  The tracer is loaded, not installed.
+    path = SRC.parents[1] / "perfbench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("perfbench_traced_cli", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    assert traced.TARGETS
+    missing = []
+    for _, module, attribute, *_ in traced.TARGETS:
+        owner = importlib.import_module(module)
+        *outer, name = attribute.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if not callable(vars(owner).get(name) if owner is not None else None):
+            missing.append((module, attribute))
+    assert missing == []

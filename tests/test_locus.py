@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from qlocus import locus, polyring
-from qlocus.alphabets import VirtualAlphabet, make_model
+from qlocus.alphabets import difference, make_model
 from qlocus.locus import (
     ClassExpression,
     LocusProblem,
@@ -214,9 +214,7 @@ def test_porteous_specialization():
     for e, f in [(2, 2), (3, 2), (4, 3)]:
         ctx = make_model("surjection", e, f)
         got = expression_to_poly(class_of(LocusProblem(e, f, f - 1, "sym")), ctx)
-        want = schur_s(
-            Partition((e - f + 1,)), VirtualAlphabet((ctx.F,), (ctx.E.dual(),))
-        )
+        want = schur_s(Partition((e - f + 1,)), difference(ctx.F, ctx.E.dual()))
         assert got == want, (e, f)
 
 

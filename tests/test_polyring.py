@@ -49,6 +49,22 @@ def test_ring_construction():
         Ring([("a", 1), ("a", 2)])
 
 
+@pytest.mark.parametrize("size", [-1, True, 2.5, 2.0, "2"])
+def test_ring_refuses_a_block_size_that_is_not_a_nonnegative_int(size):
+    # True made a one-variable block; 2.5 died inside range
+    with pytest.raises(ValueError, match="block size must be a nonnegative int"):
+        Ring([("a", size)])
+
+
+@pytest.mark.parametrize("i", [-1, -3, 3, 1.0, True, None])
+def test_variable_refuses_an_index_outside_the_ring(i):
+    # -1 named a3 through negative indexing
+    ring = Ring([("a", 3)])
+    with pytest.raises(ValueError, match=r"variable index must be an int in 0\.\.2"):
+        ring.variable(i)
+    assert [str(ring.variable(j)) for j in range(3)] == ["a1", "a2", "a3"]
+
+
 def test_pack_unpack_round_trip():
     e = (3, 0, 7)
     assert R.unpack(R.pack(e)) == e

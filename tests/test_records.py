@@ -12,7 +12,7 @@ import pkgutil
 import pytest
 
 import qlocus
-from qlocus.alphabets import Alphabet, VirtualAlphabet
+from qlocus.alphabets import Alphabet, difference
 from qlocus.gysin import FlagSetup, GrassmannSetup, RepeatedPushforward
 from qlocus.locus import ClassExpression, LocusProblem
 from qlocus.partitions import Partition
@@ -32,8 +32,7 @@ A = Alphabet(RING, (0, 1))
 SETUP = GrassmannSetup((0, 1, 2), 1)
 
 FROZEN = [
-    (A, "variables"),
-    (VirtualAlphabet((A,)), "neg"),
+    (A, "pos"),
     (SETUP, "q"),
     (RepeatedPushforward(SETUP, RING.one), "factor"),
     (FlagSetup((0, 1, 2), (3,), 1), "p"),
@@ -66,7 +65,6 @@ VALUES = [
     (GrassmannSetup, ((0, 1, 2), 1), ((0, 1, 2), 2)),
     (FlagSetup, ((0, 1, 2), (3,), 1), ((0, 1, 2), (3,), 0)),
     (Alphabet, (RING, (0, 1)), (RING, (0, 1), True)),
-    (VirtualAlphabet, ((A,), (A.dual(),)), ((A,), (Alphabet(RING, (2,)),))),
 ]
 
 
@@ -110,21 +108,24 @@ def test_every_record_of_the_package_is_under_contract():
 
 
 def test_alphabets_compare_by_value_within_one_ring():
-    assert Alphabet(RING, (0, 1)) == A and VirtualAlphabet((A,)) == VirtualAlphabet((A,))
-    # a virtual alphabet holds its roots flat and in lowest terms
-    assert VirtualAlphabet((A, Alphabet(RING, (2,))), (A,)) == VirtualAlphabet((Alphabet(RING, (2,)),))
+    B = Alphabet(RING, (2,))
+    assert Alphabet(RING, (0, 1)) == A and difference(A, B) == difference(A, B)
+    assert hash(difference(A, B)) == hash(difference(A, B))
+    # a difference holds its roots flat and in lowest terms: (A + B) - A
+    # is the alphabet B the constructor builds
+    assert difference(Alphabet(RING, (0, 1, 2)), A) == B
     # the same layout on another ring is another alphabet
     other = Ring([("a", 3)])
     assert Alphabet(other, (0, 1)) != A
-    assert VirtualAlphabet((Alphabet(other, (0, 1)),)) != VirtualAlphabet((A,))
+    assert difference(Alphabet(other, (0, 1)), Alphabet(other, (2,))) != difference(A, B)
     assert len({A, Alphabet(RING, (0, 1)), Alphabet(other, (0, 1))}) == 2
 
 
 def test_keyword_construction_and_defaults():
     a = Alphabet(ring=RING, variables=(2,), values=(5,))
-    assert (a.negated, a.values, a.size) == (False, (5,), 2)
-    assert Alphabet(RING, (0,)).values == ()
-    assert VirtualAlphabet(pos=(a,)).neg == ()
+    assert (a.pos, a.neg) == (((2, False), 5), ())
+    assert Alphabet(RING, (0,)).pos == ((0, False),)
+    assert Alphabet(RING, variables=(0,), negated=True).pos == ((0, True),)
     assert LocusProblem(e=4, f=3, r=2, symmetry="sym") == LocusProblem(4, 3, 2, "sym")
     assert ClassExpression(kind="P", terms=()) == ClassExpression("P", ())
     assert GrassmannSetup(variables=(0, 1), q=1).e == 2

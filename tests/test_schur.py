@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlocus import locus, schur
-from qlocus.alphabets import Alphabet, VirtualAlphabet, complete_sym, difference, make_model, q_sym
+from qlocus.alphabets import Alphabet, complete_sym, difference, make_model, q_sym
 from qlocus.locus import ClassExpression, LocusProblem, class_of, class_schur_pair_expansion, expression_to_poly
 from qlocus.partitions import (
     Partition,
@@ -41,6 +41,7 @@ from qlocus.schur import (
     schur_skew,
     schur_sum,
 )
+from test_alphabets import alphabet_of
 
 
 # ---------------------------------------------------------------- oracles
@@ -151,7 +152,7 @@ def greedy_expand(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
     that product of S-polynomials strictly lowers the leading term.
     """
     ring = P.ring
-    inside = [v for a in alphabets for v in a.variables]
+    inside = [v for a in alphabets for v, _ in a.pos]
     if len(set(inside)) < len(inside):
         raise ValueError("alphabets overlap")
     outside = [i for i in range(ring.nvars) if i not in inside]
@@ -162,7 +163,7 @@ def greedy_expand(P: Poly, alphabets: tuple[Alphabet, ...]) -> dict:
         exps = ring.unpack(lead)
         if any(exps[i] for i in outside):
             raise ValueError("polynomial involves variables outside the alphabets")
-        shapes = [tuple(exps[i] for i in a.variables) for a in alphabets]
+        shapes = [tuple(exps[i] for i, _ in a.pos) for a in alphabets]
         if any(x < y for shape in shapes for x, y in zip(shape, shape[1:])):
             raise ValueError("leading exponent is not a partition; input not symmetric?")
         lams = tuple(map(Partition, shapes))
@@ -352,14 +353,32 @@ def test_schur_q_factors_every_partition_of_length_n_minus_1_or_more(monkeypatch
 
 
 def test_schur_q_refuses_a_virtual_alphabet():
-    # Q_∅ included: it used to return 1 while every other shape raised
+    # Q_∅ included: it used to return 1 while every other shape raised.
+    # An alphabet with a negative side, two-sided or not, is refused.
     ring = Ring([("x", 2)])
-    V = VirtualAlphabet((Alphabet(ring, ring.block("x")),))
-    for parts in [(), (1,), (2, 1), (3, 2, 1)]:
-        with pytest.raises(TypeError):
-            schur_q(Partition(parts), V)
-        with pytest.raises(TypeError):
-            pfaffian_q(Partition(parts), V)
+    X, Y = Alphabet(ring, (0,)), Alphabet(ring, (1,))
+    for V in (difference(X, Y), alphabet_of(ring, (), (X, Y))):
+        for parts in [(), (1,), (2, 1), (3, 2, 1)]:
+            with pytest.raises(TypeError, match="genuine alphabets only"):
+                schur_q(Partition(parts), V)
+            with pytest.raises(TypeError, match="genuine alphabets only"):
+                pfaffian_q(Partition(parts), V)
+            with pytest.raises(TypeError, match="genuine alphabets only"):
+                schur_p(Partition(parts), V)
+
+
+def test_schur_q_and_p_take_a_difference_struck_to_one_positive_side():
+    # (A + B) - B is genuine: its Q and P are those of A, whichever
+    # route (factorization or Pfaffian) the shape takes
+    ring = Ring([("a", 3), ("b", 2)])
+    A = Alphabet(ring, ring.block("a"))
+    v = difference(Alphabet(ring, ring.block("a") + ring.block("b")), Alphabet(ring, ring.block("b")))
+    assert v.neg == () and v is not A
+    for parts in [(), (1,), (3,), (2, 1), (4, 1), (3, 2, 1), (4, 2, 1), (5, 3)]:
+        ring.memo.clear()
+        on_v = schur_q(Partition(parts), v), schur_p(Partition(parts), v)
+        ring.memo.clear()
+        assert on_v == (schur_q(Partition(parts), A), schur_p(Partition(parts), A)), parts
 
 
 def test_schur_q_hand_value():
@@ -595,7 +614,7 @@ def _hook_problems(draw):
     else:
         head, tail = draw(st.lists(st.integers(0, b + 2), max_size=a + 2)), []
     lam = Partition(sorted(head, reverse=True) + sorted(tail, reverse=True))
-    return lam, VirtualAlphabet(tuple(alphabets[0]), tuple(alphabets[1]))
+    return lam, alphabet_of(ring, alphabets[0], alphabets[1])
 
 
 @given(_hook_problems())
@@ -607,7 +626,6 @@ def test_hook_factorization_matches_the_determinant(problem):
 def _conjugate_jacobi_trudi(lam, mu, v):
     """s_{lam/mu}(v) as the determinant of the conjugate shape over -V^∨:
     the other side of the dual Jacobi-Trudi identity from jacobi_trudi."""
-    v = v if isinstance(v, VirtualAlphabet) else VirtualAlphabet((v,))
     return jacobi_trudi(lam.conjugate(), mu.conjugate(), v.minus_dual())
 
 
@@ -624,12 +642,12 @@ def _one_sided_alphabets():
                 A = Alphabet(ring, ring.block("x"), negated)
             else:
                 A = Alphabet(ring, (), negated, (3, -1, 2, 1, -2))
-            yield n, VirtualAlphabet((A,))
-            yield n, VirtualAlphabet((), (A,))
+            yield n, A
+            yield n, alphabet_of(ring, (), (A,))
     ring = Ring([("x", 3)])
     split = (Alphabet(ring, (0, 1)), Alphabet(ring, (2,), True), Alphabet(ring, (), False, (2,)))
-    yield 4, VirtualAlphabet(split)
-    yield 4, VirtualAlphabet((), split)
+    yield 4, alphabet_of(ring, split)
+    yield 4, alphabet_of(ring, (), split)
 
 
 def test_one_sided_schur_s_matches_the_complete_series_determinant():
@@ -659,12 +677,12 @@ def test_one_sided_alphabets_build_on_the_elementary_series(monkeypatch):
     F = Alphabet(ring, ring.block("x"))
     C = Alphabet(Ring([]), (), False, (3, -1, 2, 1))
     box = rectangle_partitions(4, 5)
-    for A in (F, F.dual(), VirtualAlphabet((), (F,)), C, VirtualAlphabet((), (C,))):
+    for A in (F, F.dual(), alphabet_of(ring, (), (F,)), C, alphabet_of(C.ring, (), (C,))):
         for lam in box:
             schur_s(lam, A)
     for lam in box:
         for mu in subpartitions(lam):
-            schur_skew(lam, mu, VirtualAlphabet((), (F,)))
+            schur_skew(lam, mu, alphabet_of(ring, (), (F,)))
     assert built and all(not v.pos for v in built)
 
 
@@ -690,7 +708,7 @@ def test_schur_skew_matches_the_determinant_on_either_side(data):
     A = Alphabet(ring, ring.block("a"), data.draw(st.booleans()))
     B = Alphabet(ring, ring.block("b"), data.draw(st.booleans()))
     C = Alphabet(ring, (), data.draw(st.booleans()), (2, -1))
-    v = data.draw(st.sampled_from([A, difference(A, B), difference(C, A), VirtualAlphabet((), (B,))]))
+    v = data.draw(st.sampled_from([A, difference(A, B), difference(C, A), alphabet_of(ring, (), (B,))]))
     assert schur_skew(lam, mu, v) == jacobi_trudi(lam, mu, v) == _conjugate_jacobi_trudi(lam, mu, v)
 
 
@@ -776,17 +794,34 @@ def test_expand_schur_basis_rejects_foreign_variables():
 
 def test_expansions_refuse_a_virtual_alphabet():
     # only genuine alphabets have an S-basis expansion; a virtual one
-    # died on a missing attribute
+    # died on a missing attribute.  Negative-only and two-sided alike.
     ring = Ring([("f", 2), ("e", 2)])
     F, E = Alphabet(ring, ring.block("f")), Alphabet(ring, ring.block("e"))
     P = schur_s(Partition((2,)), F)
-    for V in (VirtualAlphabet((F,)), difference(E, F)):
+    for V in (alphabet_of(ring, (), (F,)), difference(E, F)):
         with pytest.raises(TypeError, match="only genuine alphabets"):
             expand_schur_basis(P, V)
         with pytest.raises(TypeError, match="only genuine alphabets"):
             expand_schur_pair(P, F, V)
         with pytest.raises(TypeError, match="only genuine alphabets"):
             expand_schur_pair(P, V, E)
+
+
+def test_expansions_refuse_roots_of_mixed_sign():
+    # A + B^∨ is genuine but has no S-basis to read off: halves() leaves
+    # such an alphabet of A - (C - B^∨), and its other half -C has a
+    # negative side
+    ring = Ring([("a", 2), ("b", 2), ("c", 1)])
+    A, B, C = (Alphabet(ring, ring.block(name)) for name in "abc")
+    mixed, minus_c = difference(A, difference(C, B.dual())).halves()
+    assert mixed.neg == () and mixed.pos == A.pos + B.dual().pos
+    P = schur_s(Partition((1,)), A) * schur_s(Partition((1,)), B)
+    for expand in (lambda V: expand_schur_basis(P, V), lambda V: expand_schur_pair(P, V, C)):
+        with pytest.raises(ValueError, match="one sign"):
+            expand(mixed)
+        with pytest.raises(TypeError, match="only genuine alphabets"):
+            expand(minus_c)
+    assert expand_schur_pair(P, A, B) == {(Partition((1,)), Partition((1,))): 1}
 
 
 @given(st.data())
