@@ -27,8 +27,6 @@ same roots of one ring share every entry.
 """
 from __future__ import annotations
 
-from collections import Counter
-
 from .polyring import Poly, Ring, product
 from .records import Value
 
@@ -74,12 +72,19 @@ class Alphabet(Value):
 
 def _alphabet(ring: Ring, pos: tuple, neg: tuple) -> Alphabet:
     """The alphabet ``pos`` - ``neg`` of flat signed roots, with every
-    root found on both sides struck, as a multiset.  This is exact: the
-    series is prod (1 - b t) / prod (1 - a t), and a factor found on both
-    sides is 1."""
+    root found on both sides struck.  This is exact: the series is
+    prod (1 - b t) / prod (1 - a t), and a factor found on both sides is
+    1.  Roots are struck one occurrence at a time, from the right, and
+    what is left keeps its order: (A + X) - X has the root tuple of A, so
+    it reads A's memo entries."""
     if pos and neg:  # a one-sided alphabet has nothing to strike
-        p, n = Counter(pos), Counter(neg)
-        pos, neg = tuple((p - n).elements()), tuple((n - p).elements())
+        left, kept = list(reversed(pos)), []
+        for r in reversed(neg):
+            if r in left:
+                left.remove(r)
+            else:
+                kept.append(r)
+        pos, neg = tuple(reversed(left)), tuple(reversed(kept))
     v = object.__new__(Alphabet)
     v._set(ring=ring, pos=pos, neg=neg)
     return v

@@ -22,6 +22,7 @@ stdout early (``| head``) with status 141 and nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -209,5 +210,16 @@ def main(argv=None) -> int:
         return 141  # 128 + SIGPIPE
 
 
+def run() -> None:
+    """The process entry (``python -m qlocus.cli`` and the ``qlocus``
+    script): :func:`main`, then ``gc.freeze()``, so the interpreter's
+    shutdown skips its full collections over every live object.  Only
+    the process entry may freeze: tests and tracers call :func:`main` in
+    their own process, whose objects a freeze would pin."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -22,7 +22,7 @@ from .alphabets import Alphabet, ModelContext, difference, tensor_sum_product
 from .chern import ctop_sym2, ctop_wedge2, staircase_terms
 from .gysin import GrassmannSetup, grassmann_pushforward
 from .partitions import Partition
-from .polyring import Poly, Ring
+from .polyring import Poly, Ring, mul_add
 from .records import Value
 from .schur import expand_schur_basis, schur_difference_split, schur_of_kind, schur_sum
 
@@ -162,22 +162,25 @@ def class_schur_pair_expansion(problem: LocusProblem) -> dict[tuple[Partition, P
     s_L(E - F) splits as a signed sum of s_mu(E) times a skew
     S-polynomial of F, so only small f-variable polynomials are ever
     expanded in the S-basis.  By linearity the F-parts of every term are
-    first summed per E-shape mu, and each sum is expanded once.  Agrees
-    with the two-alphabet expansion of the evaluated class.
+    first summed per E-shape mu, each into one raw sum
+    (:func:`~qlocus.polyring.mul_add`), and each sum is expanded once.
+    Agrees with the two-alphabet expansion of the evaluated class.
     """
     ring = Ring([("f", problem.f)])
     F = Alphabet(ring, tuple(range(problem.f)))
     expr = class_of(problem)
     qp = schur_of_kind(expr.kind)
-    by_mu: dict[Partition, Poly] = {}
+    by_mu: dict[Partition, dict] = {}
     for K, L, c in expr.terms:
-        base = qp(K, F).scale(c)
+        base = qp(K, F)
         for mu, f_part in schur_difference_split(L, F, max_a_length=problem.e):
-            piece = base * f_part
-            by_mu[mu] = by_mu[mu] + piece if mu in by_mu else piece
+            total = by_mu.get(mu)
+            if total is None:
+                total = by_mu[mu] = {}
+            mul_add(total, base, f_part, c)
     pairs: dict[tuple[Partition, Partition], int] = {}
     for mu, total in by_mu.items():
-        for iota, c2 in expand_schur_basis(total, F).items():
+        for iota, c2 in expand_schur_basis(ring.finish(total), F).items():
             pairs[(iota, mu)] = c2
     return pairs
 

@@ -16,17 +16,21 @@ comparing packed keys as integers compares (e_{n-1}, ..., e_0)
 lexicographically.  Rendering splits each key at a field boundary into
 a low and a high half, and memoizes the degree and the text of each
 distinct half for the one call, so only distinct halves, far fewer than
-the terms, are walked field by field; it groups the keys by degree and
-sorts each group as plain integers, ascending, with the degrees
-descending.
+the terms, are walked field by field, and the sign-and-factor text of
+each distinct coefficient; it groups the keys by degree and sorts each
+group as plain integers, ascending, with the degrees descending.
 
 Every exponent is at most MAX_EXP = 63, so a valid key sets no bit
 outside ``Ring.fields``, the ring's exponent bits.  Two exponents of at
 most 63 add up to at most 126 < 2^7, so the sum of two valid keys never
 carries into the next field, and a product passes the bound exactly when
-one of its keys sets a guard bit.
+one of its keys sets a guard bit.  A sum of products is added into one
+raw dict by :func:`mul_add` and checked once, by :meth:`Ring.finish`.
 """
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 SHIFT = 7                       # bits per exponent field, the top one a guard bit
 MAX_EXP = (1 << (SHIFT - 1)) - 1  # 63; enough for every computation done here
@@ -41,6 +45,13 @@ def _int(c) -> int:
     if type(c) is not int:
         raise TypeError(f"polynomial coefficients are ints, got {type(c).__name__}")
     return c
+
+
+def _ints(coefficients) -> None:
+    """Refuse, with ``TypeError``, coefficients that are not all ints."""
+    kinds = sorted(t.__name__ for t in set(map(type, coefficients)) - {int})
+    if kinds:
+        raise TypeError(f"polynomial coefficients are ints, got {', '.join(kinds)}")
 
 
 def _render_fields(key: int, names, first: int) -> tuple[int, str]:
@@ -91,8 +102,8 @@ class Ring:
         # alphabets/schur memo, keyed on an alphabet's root tuples (the
         # memo is the ring's own, so no key names the ring): ("h", pos,
         # neg) complete series, ("q", pos) the difference A - A^∨, ("Q",
-        # pos, parts) staircase-factored and ("Pf", pos, parts) Pfaffian
-        # Q-polynomials
+        # prefix of pos, parts) Q-polynomials by the branching rule and
+        # ("Pf", pos, parts) Pfaffian ones
         self.memo: dict = {}
 
     def block(self, name: str) -> tuple[int, ...]:
@@ -114,10 +125,21 @@ class Ring:
         invalid = ~self.fields
         if any(k & invalid for k in terms):
             raise ValueError("not a packed key of this ring")
-        kinds = sorted(t.__name__ for t in set(map(type, terms.values())) - {int})
-        if kinds:
-            raise TypeError(f"polynomial coefficients are ints, got {', '.join(kinds)}")
+        _ints(terms.values())
         return Poly(self, {k: c for k, c in terms.items() if c})
+
+    def finish(self, acc: dict) -> "Poly":
+        """The polynomial of a raw sum of products of this ring's keys
+        (:func:`mul_add`), which it takes over: zero coefficients are
+        dropped, a surviving key outside ``fields`` (a guard bit set: an
+        exponent past MAX_EXP) raises ``OverflowError``, and a coefficient
+        that is not an ``int``, zero or not, raises ``TypeError``."""
+        _ints(acc.values())
+        if 0 in acc.values():  # only a cancelled key holds a 0
+            acc = {k: c for k, c in acc.items() if c}
+        if reduce(or_, acc, 0) & ~self.fields:
+            raise OverflowError("product exponent exceeds the packed-exponent bound")
+        return Poly(self, acc)
 
     def monomial(self, exps, c=1) -> "Poly":
         """Monomial from a full-length exponent sequence."""
@@ -219,26 +241,9 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other) if isinstance(other, int) else NotImplemented
-        if other.ring is not self.ring:
-            raise ValueError("polynomials of different rings")
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
         out: dict = {}
-        get = out.get
-        for kb, cb in b.items():
-            for ka, ca in a.items():
-                k = ka + kb
-                v = get(k, 0) + ca * cb
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        # exact: the top power of each variable in a product cannot cancel in Z[x]
-        invalid = ~self.ring.fields
-        if any(k & invalid for k in out):
-            raise OverflowError("product exponent exceeds the packed-exponent bound")
-        return Poly(self.ring, out)
+        mul_add(out, self, other)
+        return self.ring.finish(out)
 
     __rmul__ = __mul__
 
@@ -284,7 +289,8 @@ class Poly:
         half = (self.ring.nvars + 1) // 2
         cut = SHIFT * half
         mask = (1 << cut) - 1
-        # half key -> (degree, text), built once per distinct half
+        # half key -> (degree, text), built once per distinct half; a high
+        # half also keeps its text with the joining "*" in front
         lows: dict = {}
         highs: dict = {}
         by_degree: dict = {}
@@ -295,32 +301,34 @@ class Poly:
                 lo = lows[low] = _render_fields(low, names, 0)
             hi = highs.get(high)
             if hi is None:
-                hi = highs[high] = _render_fields(high, names, half)
+                d, text = _render_fields(high, names, half)
+                hi = highs[high] = (d, text, "*" + text if text else "")
             d = lo[0] + hi[0]
             group = by_degree.get(d)
             if group is None:
                 by_degree[d] = [k]
             else:
                 group.append(k)
+        constant = terms.get(0)
+        if constant is not None:
+            del by_degree[0]  # the constant is the one key of degree 0
+        # coefficient -> its sign and factor, " - 3*", built once per
+        # distinct coefficient; the first term's sign is fixed at the end
+        heads = {
+            c: (" - " if c < 0 else " + ") + (f"{abs(c)}*" if abs(c) != 1 else "")
+            for c in set(terms.values())
+        }
         pieces = []
+        append = pieces.append
         # descending (degree, -key): degrees down, keys up within a degree
         for d in sorted(by_degree, reverse=True):
             for k in sorted(by_degree[d]):
-                c = terms[k]
-                lo = lows[k & mask][1]
-                hi = highs[k >> cut][1]
-                mono = f"{lo}*{hi}" if lo and hi else lo or hi
-                ac = -c if c < 0 else c
-                if not mono:
-                    body = str(ac)
-                elif ac == 1:
-                    body = mono
-                else:
-                    body = f"{ac}*{mono}"
-                if not pieces:
-                    pieces.append(body if c > 0 else "-" + body)
-                else:
-                    pieces.append((" + " if c > 0 else " - ") + body)
+                head, lo = heads[terms[k]], lows[k & mask][1]
+                append(head + lo + highs[k >> cut][2] if lo else head + highs[k >> cut][1])
+        if constant is not None:
+            append((" - " if constant < 0 else " + ") + str(-constant if constant < 0 else constant))
+        first = pieces[0]  # fixed here, not on the joined text, which would copy it
+        pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
         return "".join(pieces)
 
     def __repr__(self):
@@ -466,6 +474,26 @@ def is_symmetric(P: Poly, variables) -> bool:
             if d and get(k - (d << sa) + (d << sb)) != c:
                 return False
     return True
+
+
+def mul_add(acc: dict, a: Poly, b: Poly, c: int = 1) -> None:
+    """Add c * a * b into ``acc``, a raw {packed key: coefficient} sum
+    that :meth:`Ring.finish` turns into a polynomial.  A sum of products
+    built this way copies nothing per term, where adding Polys copies the
+    growing total once per product.  Zeros are left in ``acc`` and the
+    guard bits are checked by the one finishing step, so an exponent past
+    the bound is refused exactly when it survives the sum."""
+    if a.ring is not b.ring:
+        raise ValueError("polynomials of different rings")
+    ta, tb = a.terms, b.terms
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    get = acc.get
+    for kb, cb in tb.items():
+        cb *= c
+        for ka, ca in ta.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + ca * cb
 
 
 def product(ring: Ring, factors) -> Poly:

@@ -12,14 +12,20 @@ complete series: on a one-sided alphabet, that of its elementary series
 it stands when they are negative); on a two-sided one, that of V or, for
 a shape with fewer columns than rows, of -V^∨ on the conjugate shape.
 
-A Q-polynomial of a strict lam on n roots with length(lam) >= n - 1 is
-2^length(lam) * prod_{i<j} (a_i + a_j) * s_{lam - delta}, delta =
-(n-1, ..., 0), the staircase factorization (:func:`schur_q`).  Shorter
-ones are the Pfaffian Q_lam = Pf[Q_(lam_i, lam_j)], with a zero part
-appended when lam has odd length (Macdonald, *Symmetric Functions and
-Hall Polynomials*, III.8 (8.11)), expanded along the first part
-(:func:`pfaffian_q`).  Its entries come from the one-row series q_i, the
-complete series of A - A^∨:
+A Q-polynomial of an alphabet with a variable root is built by the
+branching rule on its last root x (:func:`_branching_q`),
+
+    Q_lam(A + x) = sum over mu of 2^r(lam/mu) * x^(|lam| - |mu|) * Q_mu(A),
+
+over the strict mu with lam_1 >= mu_1 >= lam_2 >= ... >= 0, r counting
+the runs of consecutive diagonals of lam/mu (Macdonald, *Symmetric
+Functions and Hall Polynomials*, III.5 and III.8), memoized on each
+prefix of the roots; a step shifts keys and multiplies no polynomials.
+An alphabet of values takes the Pfaffian Q_lam = Pf[Q_(lam_i, lam_j)],
+with a zero part appended when lam has odd length (Macdonald III.8
+(8.11)), expanded along the first part (:func:`pfaffian_q`), which is
+also the oracle of the branching rule.  Its entries come from the
+one-row series q_i, the complete series of A - A^∨:
 
     Q_(i,j) = q_i q_j + 2 * sum_{p=1..j} (-1)^p q_{i+p} q_{j-p},
 
@@ -32,20 +38,23 @@ read off the terms of the input by straightening (see :func:`_straighten`).
 """
 from __future__ import annotations
 
-from .alphabets import Alphabet, complete_series, difference, pair_sum_product, q_sym
+from itertools import product as cartesian
+
+from .alphabets import Alphabet, complete_series, difference, q_sym
 from .partitions import Partition, subpartitions
-from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric, product
+from .polyring import MAX_EXP, SHIFT, Poly, Ring, is_symmetric, mul_add, product
 
 
 def determinant(ring: Ring, rows: list[list[Poly]]) -> Poly:
     """Determinant of a square matrix of polynomials, expanded row by row
-    over column subsets."""
+    over column subsets: each row adds its entry products into one raw
+    sum per column subset (:func:`~qlocus.polyring.mul_add`)."""
     k = len(rows)
     if k == 0:
         return ring.one
     dp = {0: ring.one}
     for r in range(k):
-        ndp: dict[int, Poly] = {}
+        ndp: dict[int, dict] = {}
         for mask, val in dp.items():
             for c in range(k):
                 bit = 1 << c
@@ -54,13 +63,12 @@ def determinant(ring: Ring, rows: list[list[Poly]]) -> Poly:
                 entry = rows[r][c]
                 if entry.is_zero():
                     continue
-                term = val * entry
-                if bin(mask >> (c + 1)).count("1") & 1:  # inversions added
-                    term = -term
-                key = mask | bit
-                acc = ndp.get(key)
-                ndp[key] = term if acc is None else acc + term
-        dp = ndp
+                acc = ndp.get(mask | bit)
+                if acc is None:
+                    acc = ndp[mask | bit] = {}
+                # the sign counts the inversions added
+                mul_add(acc, val, entry, -1 if bin(mask >> (c + 1)).count("1") & 1 else 1)
+        dp = {mask: got for mask, acc in ndp.items() if (got := ring.finish(acc))}
         if not dp:
             return ring.zero
     return dp.get((1 << k) - 1, ring.zero)
@@ -154,43 +162,103 @@ def _hook_factor(lam: Partition, v: Alphabet) -> Poly | None:
 def schur_q(I: Partition, a: Alphabet) -> Poly:
     """Q-polynomial of a strict partition on a genuine alphabet of n roots.
 
-    A partition longer than n gives 0.  One of length l >= n - 1 is read
-    off the staircase factorization, memoized on its parts:
-
-        Q_lam(A) = 2^l * prod_{i<j} (a_i + a_j) * s_{lam - delta}(A),
-
-    with lam padded to n parts and delta = (n-1, ..., 0).  At such a
-    length every pair i < j enters the symmetrization formula for P_lam
-    (Macdonald, *Symmetric Functions and Hall Polynomials*, III.2 (2.2)
-    at t = -1), so P_lam is the product times the bialternant ratio
-    a_lam / a_delta.  Shorter partitions are the Pfaffian
-    (:func:`pfaffian_q`).
+    A partition longer than n gives 0.  An alphabet with a variable root
+    takes the branching rule at every length (:func:`_branching_q`); an
+    alphabet of values only takes the Pfaffian (:func:`pfaffian_q`), since
+    on ints the branching rule's many small states cost 10-30 times more
+    than the Pfaffian's few products of numbers.
     """
     if a.neg:
         raise TypeError("Q-polynomials are defined for genuine alphabets only")
     if not I.is_strict():
         raise ValueError(f"Q-polynomials are indexed by strict partitions, got {I}")
-    n, l = len(a.pos), I.length
-    if l < n - 1:
+    if I.length > len(a.pos):
+        return a.ring.zero
+    if all(type(r) is int for r in a.pos):
         return pfaffian_q(I, a)
+    return _branching_q(I.parts, a)
+
+
+def _branches(lam: tuple) -> list[tuple[tuple, int, int]]:
+    """(mu, |lam| - |mu|, r(lam/mu)) for every strict mu with lam_1 >=
+    mu_1 >= lam_2 >= mu_2 >= ... >= 0: the shapes that a marked shifted
+    tableau of shape lam holds below its largest letter.  Row i of
+    lam/mu covers the diagonals mu_i .. lam_i - 1, and r counts the
+    maximal runs of consecutive diagonals covered."""
+    out = []
+    for mu in cartesian(*(range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,)))):
+        # mu_i >= lam_{i+1} >= mu_{i+1}: a repeated part is the only way
+        # to fail strictness, and only the last part can be 0
+        if any(m == below for m, below in zip(mu, mu[1:])):
+            continue
+        runs = sum(
+            1
+            for i, (m, high) in enumerate(zip(mu, lam))
+            if m < high and not (i and mu[i - 1] < lam[i - 1] and mu[i - 1] == high)
+        )
+        out.append((mu if mu[-1] else mu[:-1], sum(lam) - sum(mu), runs))
+    return out
+
+
+def _branching_q(parts: tuple, a: Alphabet) -> Poly:
+    """Q_parts of the roots of ``a``, by the branching rule on its last
+    root x (Macdonald, *Symmetric Functions and Hall Polynomials*, III.5
+    and III.8: Q_lam is the sum over marked shifted tableaux of shape
+    lam, filled one letter at a time):
+
+        Q_lam(A + x) = sum over mu of 2^r(lam/mu) * x^(|lam| - |mu|) * Q_mu(A)
+
+    over the mu of :func:`_branches`, down to the empty shape, whose Q is
+    1.  Each Q_mu(A) is memoized under ("Q", roots of A, mu), so
+    alphabets that share a prefix of roots share its entries.  A step multiplies no
+    polynomials: a variable root shifts the keys of Q_mu(A) and flips the
+    sign of odd powers of a negated root, a value root scales by its
+    power.  A shift past MAX_EXP is placed beyond every field, so the
+    finishing step (:meth:`~qlocus.polyring.Ring.finish`) refuses exactly
+    the keys that survive past the bound."""
     ring = a.ring
-    if l > n:
-        return ring.zero
-    key = ("Q", a.pos, I.parts)
-    got = ring.memo.get(key)
-    if got is None:
-        shape = Partition(tuple(p - (n - 1 - i) for i, p in enumerate(I.padded(n))))
-        got = ring.memo[key] = (pair_sum_product(a, strict=True) * schur_s(shape, a)).scale(2**l)
-    return got
+    memo = ring.memo
+    roots = a.pos
+    beyond = SHIFT * ring.nvars
+
+    def q(j: int, lam: tuple) -> Poly:  # Q_lam of the first j roots
+        if len(lam) > j:
+            return ring.zero
+        if not lam:
+            return ring.one
+        key = ("Q", roots[:j], lam)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        x = roots[j - 1]
+        acc: dict = {}
+        get = acc.get
+        for mu, k, r in _branches(lam):
+            below = q(j - 1, mu).terms
+            if not below:
+                continue
+            if type(x) is int:
+                f, shift = x**k << r, 0
+                if not f:
+                    continue
+            else:
+                f = -1 << r if x[1] and k & 1 else 1 << r
+                shift = k << (SHIFT * x[0] if k <= MAX_EXP else beyond)
+            for kb, c in below.items():
+                kb += shift
+                acc[kb] = get(kb, 0) + c * f
+        got = memo[key] = ring.finish(acc)
+        return got
+
+    return q(len(roots), parts)
 
 
 def pfaffian_q(I: Partition, a: Alphabet) -> Poly:
     """Q_I(A) as the Pfaffian Pf[Q_(I_i, I_j)], expanded along the first
     part, memoized on the parts padded to even length.  It recurses only
     into itself and its memo entries are its own, so it never sees the
-    staircase factorization: :func:`schur_q` calls it for the partitions
-    that are too short to factor, and tests and ``verify`` call it as the
-    oracle of the factorization."""
+    branching rule: :func:`schur_q` calls it on alphabets of values, and
+    tests and ``verify`` call it as the oracle of the branching rule."""
     if a.neg:
         raise TypeError("Q-polynomials are defined for genuine alphabets only")
     parts = I.parts + (0,) * (I.length % 2)
@@ -240,16 +308,14 @@ def schur_of_kind(kind: str):
 def schur_sum(kind: str, terms, a, d) -> Poly:
     """sum of c * X_K(a) * s_L(d) over the (K, L, c) ``terms``, with X the
     Q-, P- or S-polynomial for ``kind`` "Q", "P" or "s".  Every product is
-    added into one dict, since a sum of Polys would copy the growing total
-    once per term; ``Ring.poly`` then refuses a coefficient that is not an
-    int."""
+    added into one raw sum (:func:`~qlocus.polyring.mul_add`), since a sum
+    of Polys would copy the growing total once per term; the finishing
+    step refuses a coefficient that is not an int."""
     x = schur_of_kind(kind)
     total: dict = {}
-    get = total.get
     for K, L, c in terms:
-        for k, v in (x(K, a) * schur_s(L, d)).terms.items():
-            total[k] = get(k, 0) + c * v
-    return a.ring.poly(total)
+        mul_add(total, x(K, a), schur_s(L, d), c)
+    return a.ring.finish(total)
 
 
 # -- expansions -------------------------------------------------------

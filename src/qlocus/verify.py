@@ -66,7 +66,7 @@ def suite_schur(max_n: int = 4) -> list[CaseResult]:
             lhs = jacobi_trudi(rectangle(n, m), Partition(), d)
             rhs = product(ring, (x - y for x in xs for y in ys))
             out.append(CaseResult("schur.resultant", f"n={n} m={m}", lhs == rhs))
-    # Q/P staircase products, Q on both the factorization and the Pfaffian
+    # Q/P staircase products, Q on both the branching rule and the Pfaffian
     for n in range(1, max_n + 1):
         ring = Ring([("a", n)])
         A = Alphabet(ring, ring.block("a"))
@@ -90,7 +90,7 @@ def suite_schur(max_n: int = 4) -> list[CaseResult]:
     # Q_{rho_k + I}(A) = Q_{rho_k}(A) s_I(A) for l(I) <= k (the Q-version
     # needs the staircase length to match the rank; one row longer, both
     # sides vanish), with the left side on the Pfaffian (schur_q would
-    # read it off the factorization)
+    # take the branching rule)
     for k in range(1, max_n):
         ring = Ring([("a", k)])
         A = Alphabet(ring, ring.block("a"))

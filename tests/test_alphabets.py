@@ -85,7 +85,7 @@ def test_value_alphabets_never_share_a_memo_entry(other):
     on_a = values(A)
     before = set(ring.memo)
     on_b = values(B)
-    assert {key[0] for key in set(ring.memo) - before} == {"h", "Q"}
+    assert {key[0] for key in set(ring.memo) - before} == {"h", "q", "Pf"}
     assert on_b == values(build(Ring([]))[1])
     assert on_b != on_a
 
@@ -112,10 +112,9 @@ def test_equal_alphabets_built_separately_share_one_memo_entry():
 def test_a_struck_difference_is_the_alphabet_of_the_roots_it_leaves(data):
     # A + X + ... - (X + ...) strikes every root of the X's, as a
     # multiset: what is left is A itself, equal, hashed alike and reading
-    # the memo entries of A.  A's roots are distinct, so striking keeps
-    # their order.
+    # the memo entries of A.
     ring = Ring([("x", 3)])
-    A = Alphabet(ring, *data.draw(_root_args(3, distinct=True)))
+    A = Alphabet(ring, *data.draw(_root_args(3)))
     X = tuple(data.draw(st.lists(_root_alphabets(ring), min_size=1, max_size=3)))
     v = difference(alphabet_of(ring, (A, *X)), alphabet_of(ring, X))
     assert v is not A and v == A and hash(v) == hash(A)
@@ -126,6 +125,19 @@ def test_a_struck_difference_is_the_alphabet_of_the_roots_it_leaves(data):
     first = entries(A)
     keys = set(ring.memo)
     assert all(x is y for x, y in zip(first, entries(v)))
+    assert set(ring.memo) == keys
+
+
+def test_striking_keeps_the_order_of_repeated_roots():
+    # one 5 struck from 2, 1, 2, 5 leaves 2, 1, 2 in that order: the
+    # alphabet of those values, reading its memo entries
+    ring = Ring([])
+    A = Alphabet(ring, (), values=(2, 1, 2))
+    v = difference(Alphabet(ring, (), values=(2, 1, 2, 5)), Alphabet(ring, (), values=(5,)))
+    assert v.pos == (2, 1, 2) and v == A and hash(v) == hash(A)
+    first = complete_series(A, 4), schur_q(Partition((3, 1)), A), q_sym(3, A)
+    keys = set(ring.memo)
+    assert all(x is y for x, y in zip(first, (complete_series(v, 4), schur_q(Partition((3, 1)), v), q_sym(3, v))))
     assert set(ring.memo) == keys
 
 
@@ -170,12 +182,11 @@ def test_complete_sym_self_difference_vanishes():
 
 
 @st.composite
-def _root_args(draw, nvars, distinct=False):
+def _root_args(draw, nvars):
     """(variables, negated, values) of an alphabet on ``nvars`` variables:
-    distinct variables, values with repeats and zeros unless
-    ``distinct``, and either sign."""
+    distinct variables, values with repeats and zeros, and either sign."""
     variables = draw(st.lists(st.sampled_from(range(nvars)), unique=True, max_size=nvars))
-    values = draw(st.lists(st.integers(-2, 2), unique=distinct, max_size=3))
+    values = draw(st.lists(st.integers(-2, 2), max_size=3))
     return tuple(variables), draw(st.booleans()), tuple(values)
 
 

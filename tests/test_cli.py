@@ -271,6 +271,17 @@ def test_full_verify_keeps_its_bytes(capsys):
     )
 
 
+def test_short_q_polynomials_on_six_roots_keep_their_bytes(capsys):
+    # Q-polynomials of length 4 on the six roots of F, the ceiling of
+    # class --format polynomial: under a second by the branching rule,
+    # about 7 s through the Pfaffian that recorded these bytes
+    code, out, err = run(capsys, *"class --e 8 --f 6 --r 2 --symmetry sym --format polynomial".split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d8e8b0747ccb263e9e65a7bb834e3c8849a58caed81f5f22a1d9b8d18c9a4927"
+    )
+
+
 def test_traced_layers_resolve_under_src():
     # every layer the benchmark's tracer wraps must still exist, or a
     # traced run dies on start-up

@@ -15,6 +15,7 @@ from qlocus.polyring import (
     apply_substitution,
     exact_div,
     is_symmetric,
+    mul_add,
     product,
 )
 
@@ -227,6 +228,39 @@ def test_multiplication_past_total_degree_bound_without_field_overflow():
     assert (x1**40 + x2) * (x2**30 + x3**63) == R.poly(
         {R.pack((40, 30, 0)): 1, R.pack((40, 0, 63)): 1, R.pack((0, 31, 0)): 1, R.pack((0, 1, 63)): 1}
     )
+
+
+@given(polys, polys, polys, coeffs)
+def test_mul_add_accumulates_the_exact_sum(P, Q, S, c):
+    acc: dict = {}
+    mul_add(acc, P, Q, c)
+    mul_add(acc, S, Q)
+    assert R.finish(acc) == P * Q * c + S * Q
+    # adding the negatives cancels every term and leaves no entry
+    mul_add(acc, P, Q, -c)
+    mul_add(acc, S, -Q)
+    assert R.finish(acc).terms == {}
+
+
+def test_mul_add_refuses_a_surviving_guard_bit_only():
+    big = R.monomial((40, 0, 0))
+    acc: dict = {}
+    mul_add(acc, big, big + x2)
+    with pytest.raises(OverflowError):
+        R.finish(acc)
+    # the same product cancelled: nothing past the bound survives
+    mul_add(acc, big, big, -1)
+    assert R.finish(acc) == big * x2
+
+
+def test_finish_refuses_a_coefficient_that_is_not_an_int_even_zero():
+    for c in (Fraction(1, 2), 0.5, 0.0, Fraction(0)):
+        acc: dict = {}
+        mul_add(acc, x1, x2, c)
+        with pytest.raises(TypeError, match="coefficients are ints"):
+            R.finish(acc)
+    with pytest.raises(ValueError, match="different rings"):
+        mul_add({}, x1, Ring([("x", 3)]).variable(0))
 
 
 def sparse_polys(n):

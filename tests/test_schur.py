@@ -313,43 +313,80 @@ def test_schur_q_matches_the_recurrence(problem):
 
 
 @st.composite
-def _factorizable_q_problems(draw):
-    """An alphabet of 0 to 4 roots, variables or numbers, plain or dual,
-    and a strict partition of length n - 1, n or n + 1 (n roots) with
-    parts up to 7: the lengths around the factorization threshold."""
-    nvars = draw(st.integers(0, 4))
-    values = draw(st.lists(st.integers(-3, 3), max_size=4 - nvars))
-    n = nvars + len(values)
-    length = draw(st.sampled_from([l for l in (n - 1, n, n + 1) if l >= 0]))
-    parts = draw(st.sets(st.integers(1, 7), min_size=length, max_size=length))
+def _branching_q_problems(draw):
+    """An alphabet of 1 to 6 roots with at least one variable, plain or
+    dual, the rest values, and a strict partition of any length from 0
+    to n + 1 (n roots) with parts up to 7, or length + 2 when longer.
+    The longer the partition, the fewer the variables, so the Pfaffian
+    oracle stays small."""
+    n = draw(st.integers(1, 6))
+    length = draw(st.integers(0, n + 1))
+    nvars = draw(st.integers(1, max(1, min(n, 7 - length))))
+    values = draw(st.lists(st.integers(-3, 3), min_size=n - nvars, max_size=n - nvars))
+    parts = draw(st.sets(st.integers(1, max(7, length + 2)), min_size=length, max_size=length))
     ring = Ring([("x", nvars)])
     A = Alphabet(ring, ring.block("x"), draw(st.booleans()), tuple(values))
     return Partition(sorted(parts, reverse=True)), A
 
 
-@given(_factorizable_q_problems())
-def test_schur_q_factorization_matches_the_pfaffian(problem):
+@given(_branching_q_problems())
+def test_schur_q_branching_rule_matches_the_pfaffian(problem):
     I, A = problem
     assert schur_q(I, A) == pfaffian_q(I, A)
 
 
-def test_schur_q_factors_every_partition_of_length_n_minus_1_or_more(monkeypatch):
-    # on three roots, lengths 2 and 3 are read off the factorization and
-    # length 4 is zero: none of them builds a Pfaffian
+def test_schur_q_builds_a_pfaffian_on_value_alphabets_only(monkeypatch):
+    # on variable and mixed alphabets every length takes the branching
+    # rule, including the lengths n - 1 and n that used to factor and the
+    # short ones that used to be Pfaffians; a value alphabet takes the
+    # Pfaffian at every length
     ring = Ring([("x", 3)])
-    A = Alphabet(ring, ring.block("x"))
-    shapes = [(2, 1), (5, 2), (3, 2, 1), (6, 3, 1), (4, 3, 2, 1)]
-    want = {Partition(parts): pfaffian_q(Partition(parts), A) for parts in shapes}
+    shapes = [(), (1,), (4,), (2, 1), (5, 2), (3, 2, 1), (6, 3, 1), (4, 3, 2, 1)]
+    alphabets = [
+        Alphabet(ring, ring.block("x")),
+        Alphabet(ring, (2, 0), negated=True),
+        Alphabet(ring, (1,), values=(2, -3)),
+    ]
+    want = {(parts, A): pfaffian_q(Partition(parts), A) for parts in shapes for A in alphabets}
 
     def refuse(I, a):
         raise AssertionError(f"Pfaffian built for {I}")
 
     monkeypatch.setattr(schur, "pfaffian_q", refuse)
-    for I, value in want.items():
-        assert schur_q(I, A) == value, I
-    assert schur_q(Partition((4, 3, 2, 1)), A).is_zero()
-    with pytest.raises(AssertionError):
-        schur_q(Partition((1,)), A)
+    for (parts, A), value in want.items():
+        assert schur_q(Partition(parts), A) == value, (parts, A)
+    assert schur_q(Partition((4, 3, 2, 1)), alphabets[0]).is_zero()
+    built = []
+    monkeypatch.setattr(schur, "pfaffian_q", lambda I, a: built.append(I) or ring.zero)
+    for parts in [(1,), (2, 1), (3, 2, 1)]:
+        schur_q(Partition(parts), Alphabet(ring, (), values=(1, 2, 3)))
+    assert built == [Partition((1,)), Partition((2, 1)), Partition((3, 2, 1))]
+
+
+def test_schur_q_overflows_exactly_past_the_exponent_bound():
+    # Q_lam of distinct variables has top exponent lam_1 in each variable,
+    # so it fits exactly when lam_1 <= MAX_EXP, whatever the intermediate
+    # weights: Q_(63,62)(x, y) = 4 (x + y) (xy)^62 has degree 125
+    ring = Ring([("x", 2)])
+    XY = Alphabet(ring, ring.block("x"))
+    assert schur_q(Partition((63, 62)), XY) == ring.poly(
+        {ring.pack((63, 62)): 4, ring.pack((62, 63)): 4}
+    )
+    row = schur_q(Partition((63,)), XY)
+    assert row == ring.poly(
+        {ring.pack((i, 63 - i)): 2 if i in (0, 63) else 4 for i in range(64)}
+    )
+    for parts, A in [
+        ((64,), XY),
+        ((64, 1), XY),
+        ((64,), Alphabet(ring, (1,), negated=True, values=(2,))),
+        # a shift of 128 would carry the first variable's field into the
+        # second one's, as if x2 divided the result
+        ((128,), Alphabet(ring, (0,))),
+        ((129,), Alphabet(ring, (0,))),
+    ]:
+        with pytest.raises(OverflowError):
+            schur_q(Partition(parts), A)
 
 
 def test_schur_q_refuses_a_virtual_alphabet():
